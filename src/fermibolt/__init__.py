@@ -30,6 +30,7 @@ _EXPORTS = {
     "CollisionKernel": ".collision",
     "build_kernel": ".collision",
     "apply_collision": ".collision",
+    "collision_dt_ceiling": ".collision",
     "load_kernel_table": ".collision",
     "save_kernel_table": ".collision",
     "collision_norm_probe": ".collision",
@@ -60,7 +61,6 @@ _EXPORTS = {
     "SchemeConfig": ".evolution",
     "InitialData": ".evolution",
     "initial_state": ".evolution",
-    "collision_dt_ceiling": ".evolution",
     "cfl_max_dt": ".evolution",
     "transport_step": ".evolution",
     "collision_step": ".evolution",

@@ -9,16 +9,23 @@ same double sum with the indices swapped, so the mass sum_i w_i Q(f)_i
 cancels identically; the evaluation below keeps that cancellation exact
 in the algebra (gain and loss share one real value) and the invariant
 fails only by summation rounding, never by quadrature error.
+
+Every evaluation goes through the kernel's scatter map
+(S g)_i = sum_j w_j sigma_ij g_j, which uses the structure of the
+built-in kernels instead of a dense table: `constant` is rank one and
+`gaussian_bump` is a constant plus a Gaussian that factors by velocity
+axis. Only `custom_table` keeps its dense table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .equilibrium import project
-from .velocity import VelocityGrid
+from .velocity import VelocityGrid, integrate
 
 __all__ = [
     "CollisionKernel",
@@ -26,6 +33,7 @@ __all__ = [
     "load_kernel_table",
     "save_kernel_table",
     "apply_collision",
+    "collision_dt_ceiling",
     "collision_norm_probe",
     "NormProbeResult",
 ]
@@ -35,51 +43,95 @@ KERNEL_KINDS = ("constant", "gaussian_bump", "custom_table")
 
 @dataclass(frozen=True)
 class CollisionKernel:
-    """Dense symmetric scattering table with recorded bounds."""
+    """Symmetric scattering kernel in the structured form `scatter` uses.
+
+    sigma_ij = level + 0.5 prod_axes exp(-(u_a - u_b)^2 / 2) when `bump`
+    holds the per-axis Gaussian factor, plain `level` when it is None,
+    and the dense `table` for a kernel loaded from disk. The lattice
+    weights are uniform, so one `node_weight` stands for all of them.
+    """
 
     kind: str
-    matrix: np.ndarray    # (n_nodes, n_nodes), symmetric, > 0
-    weighted: np.ndarray  # matrix * quadrature weights (row contraction)
+    dim: int
+    n_nodes: int
+    node_weight: float
+    level: float
     sigma_minus: float
     sigma_plus: float
+    dt_ceiling: float                # collision_dt_ceiling at build time
+    bump: np.ndarray | None = None   # (n_axis, n_axis) exp(-(u_a - u_b)^2 / 2)
+    table: np.ndarray | None = None  # (n_nodes, n_nodes), custom_table only
+
+    def scatter(self, g: np.ndarray) -> np.ndarray:
+        """(S g)_i = sum_j w_j sigma_ij g_j over the last axis of g.
+
+        The rank-one form returns a length-one node axis, which
+        broadcasts against g. Every contraction is an einsum without
+        `optimize`, so no threaded BLAS call runs.
+        """
+        if self.table is not None:
+            return self.node_weight * np.einsum("ij,...j->...i", self.table, g)
+        flat = (self.node_weight * self.level) * np.sum(g, axis=-1, keepdims=True)
+        if self.bump is None:
+            return flat
+        if self.dim == 1:
+            gauss = np.einsum("ij,...j->...i", self.bump, g)
+        else:
+            n = self.bump.shape[0]
+            cube = g.reshape(g.shape[:-1] + (n, n))
+            rows = np.einsum("ac,...cd->...ad", self.bump, cube)
+            gauss = np.einsum("...ad,bd->...ab", rows, self.bump).reshape(g.shape)
+        return flat + (0.5 * self.node_weight) * gauss
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (n_nodes, n_nodes) table sigma, built on each access.
+
+        For export and for oracle checks; no run path uses it.
+        """
+        if self.table is not None:
+            return self.table
+        if self.bump is None:
+            return np.full((self.n_nodes, self.n_nodes), self.level)
+        gauss = self.bump if self.dim == 1 else np.kron(self.bump, self.bump)
+        return self.level + 0.5 * gauss
 
 
-def _make_kernel(kind: str, matrix: np.ndarray, grid: VelocityGrid,
-                 bounds: tuple[float, float] | None = None) -> CollisionKernel:
-    n = grid.n_nodes
-    if matrix.shape != (n, n):
-        raise ValueError(f"kernel table is {matrix.shape}, grid has {n} nodes")
-    if not np.array_equal(matrix, matrix.T):
-        raise ValueError("kernel table must be symmetric")
-    lo = float(matrix.min())
-    hi = float(matrix.max())
-    if lo <= 0.0:
-        raise ValueError(f"kernel values must be positive, found {lo:g}")
-    if bounds is None:
-        bounds = (lo, hi)
-    return CollisionKernel(
+def collision_dt_ceiling(kernel: CollisionKernel, vgrid: VelocityGrid) -> float:
+    """Sufficient explicit-step bound keeping the collision update monotone."""
+    m0 = float(integrate(vgrid.maxwellian, vgrid))
+    rho_max = float(np.sum(vgrid.weights))  # Pauli-saturated density
+    return 1.0 / (kernel.sigma_plus * (m0 + rho_max))
+
+
+def _make_kernel(kind: str, grid: VelocityGrid, level: float,
+                 bounds: tuple[float, float], **structure) -> CollisionKernel:
+    kernel = CollisionKernel(
         kind=kind,
-        matrix=matrix,
-        weighted=matrix * grid.weights[None, :],
+        dim=grid.dim,
+        n_nodes=grid.n_nodes,
+        node_weight=float(grid.weights[0]),
+        level=level,
         sigma_minus=bounds[0],
         sigma_plus=bounds[1],
+        dt_ceiling=math.nan,
+        **structure,
     )
+    return replace(kernel, dt_ceiling=collision_dt_ceiling(kernel, grid))
 
 
 def build_kernel(kind: str, grid: VelocityGrid, *, sigma0: float = 1.0,
                  table_path: str | None = None) -> CollisionKernel:
     """Construct one of the built-in kernels or load a table from disk."""
-    n = grid.n_nodes
     if kind == "constant":
         if sigma0 <= 0.0:
             raise ValueError(f"constant kernel needs sigma0 > 0, got {sigma0:g}")
-        return _make_kernel(kind, np.full((n, n), float(sigma0)), grid,
-                            bounds=(sigma0, sigma0))
+        return _make_kernel(kind, grid, float(sigma0), (sigma0, sigma0))
     if kind == "gaussian_bump":
-        diff = grid.nodes[:, None, :] - grid.nodes[None, :, :]
-        dist_sq = np.sum(diff * diff, axis=-1)
-        matrix = 1.0 + 0.5 * np.exp(-0.5 * dist_sq)
-        return _make_kernel(kind, matrix, grid, bounds=(1.0, 1.5))
+        axis = grid.nodes[: grid.nodes_per_axis, -1]  # last axis varies fastest
+        diff = axis[:, None] - axis[None, :]
+        return _make_kernel(kind, grid, 1.0, (1.0, 1.5),
+                            bump=np.exp(-0.5 * diff * diff))
     if kind == "custom_table":
         if table_path is None:
             raise ValueError("custom_table kernel needs a file path")
@@ -108,7 +160,16 @@ def load_kernel_table(path: str, grid: VelocityGrid) -> CollisionKernel:
             f"{len(values)} values"
         )
     matrix = np.array(values).reshape(n_declared, n_declared)
-    return _make_kernel("custom_table", matrix, grid)
+    n = grid.n_nodes
+    if matrix.shape != (n, n):
+        raise ValueError(f"kernel table is {matrix.shape}, grid has {n} nodes")
+    if not np.array_equal(matrix, matrix.T):
+        raise ValueError("kernel table must be symmetric")
+    lo = float(matrix.min())
+    if lo <= 0.0:
+        raise ValueError(f"kernel values must be positive, found {lo:g}")
+    return _make_kernel("custom_table", grid, math.nan, (lo, float(matrix.max())),
+                        table=matrix)
 
 
 def save_kernel_table(kernel: CollisionKernel, path: str) -> None:
@@ -123,9 +184,17 @@ def apply_collision(f: np.ndarray, kernel: CollisionKernel,
                     grid: VelocityGrid) -> np.ndarray:
     """Evaluate Q(f) for one cell (N,) or a stack of cells (cells, N).
 
-    Uses Q = G * (S f) - f * (S G) with G = M (1 - f) and S the
-    weight-contracted table; all contractions go through einsum so the
-    result does not depend on BLAS threading.
+    Uses Q = G * (S f) - f * (S G) with G = M (1 - f) and S the kernel's
+    scatter map, (S g)_i = sum_j w_j sigma_ij g_j, in one of three forms:
+
+    - constant: sigma0 * (w . g), rank one;
+    - gaussian_bump: (w . g) + 0.5 * B g, with B the weighted per-axis
+      Gaussian factor; in 2-d the second term is 0.5 * B g B^T on the
+      `ij` node grid, two n_axis-sized products per cell;
+    - custom_table: the dense weighted table.
+
+    All contractions go through einsum so the result does not depend on
+    BLAS threading.
     """
     f = np.asarray(f, dtype=float)
     single = f.ndim == 1
@@ -140,9 +209,7 @@ def apply_collision(f: np.ndarray, kernel: CollisionKernel,
             f"[{fmin:g}, {fmax:g}]"
         )
     gain_weight = grid.maxwellian * (1.0 - f)
-    scattered_f = np.einsum("ij,xj->xi", kernel.weighted, f)
-    scattered_g = np.einsum("ij,xj->xi", kernel.weighted, gain_weight)
-    q = gain_weight * scattered_f - f * scattered_g
+    q = gain_weight * kernel.scatter(f) - f * kernel.scatter(gain_weight)
     return q[0] if single else q
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collision import CollisionKernel, apply_collision
+from .collision import CollisionKernel, apply_collision, collision_dt_ceiling
 from .equilibrium import fermi_profile
 from .fields import SpatialGrid
-from .velocity import VelocityGrid, integrate
+from .velocity import VelocityGrid
 
 __all__ = [
     "PhaseState",
@@ -126,19 +126,12 @@ def initial_state(
     )
 
 
-def collision_dt_ceiling(kernel: CollisionKernel, vgrid: VelocityGrid) -> float:
-    """Sufficient explicit-step bound keeping the collision update monotone."""
-    m0 = float(integrate(vgrid.maxwellian, vgrid))
-    rho_max = float(np.sum(vgrid.weights))  # Pauli-saturated density
-    return 1.0 / (kernel.sigma_plus * (m0 + rho_max))
-
-
 def cfl_max_dt(state: PhaseState, kernel: CollisionKernel,
                scheme: SchemeConfig) -> float:
     """Largest admissible dt: transport Courant limit vs collision ceiling."""
     vmax = float(np.max(np.abs(state.vgrid.first_axis)))
     transport_limit = _COURANT[scheme.transport_order] * state.sgrid.spacing / vmax
-    return scheme.cfl_safety * min(transport_limit, collision_dt_ceiling(kernel, state.vgrid))
+    return scheme.cfl_safety * min(transport_limit, kernel.dt_ceiling)
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,7 +195,7 @@ def collision_step(
     it inherits the Euler bound preservation while restoring second
     order inside the symmetric splitting.
     """
-    ceiling = collision_dt_ceiling(kernel, state.vgrid)
+    ceiling = kernel.dt_ceiling
     if dt > ceiling * (1.0 + 1e-9):
         raise ValueError(
             f"collision step dt={dt:.6g} exceeds the monotonicity ceiling "

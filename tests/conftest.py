@@ -7,8 +7,18 @@ import dataclasses
 
 import pytest
 
+from fermibolt.collision import build_kernel, load_kernel_table, save_kernel_table
 from fermibolt.config import ExperimentConfig
 from fermibolt.experiment import run_experiment
+from fermibolt.velocity import build_velocity_grid
+
+import _bruteforce as bf
+
+# (d_v, nodes per axis) of the lattices the structured kernels are checked on;
+# d_v = 2 runs the axis-separable Gaussian path.
+ORACLE_LATTICES = ((1, 64), (2, 32))
+ORACLE_KINDS = ("constant", "gaussian_bump", "custom_table")
+ORACLE_CASES = [(dim, kind) for dim, _ in ORACLE_LATTICES for kind in ORACLE_KINDS]
 
 
 @pytest.fixture(scope="session")
@@ -59,3 +69,29 @@ def tiny_run(tmp_path_factory):
         record_every=2,
     )
     return run_experiment(config, output_dir=str(out))
+
+
+@pytest.fixture(scope="session")
+def oracle_kernels(tmp_path_factory):
+    """{(d_v, kind): (grid, kernel, dense oracle table)} for ORACLE_CASES.
+
+    The custom_table kernel is the gaussian_bump table saved to disk and
+    loaded back, so its oracle is the Gaussian formula table.
+    """
+    out = {}
+    for dim, n in ORACLE_LATTICES:
+        grid = build_velocity_grid(dim, 8.0, n)
+        for kind in ("constant", "gaussian_bump"):
+            out[dim, kind] = (grid, build_kernel(kind, grid), bf.bf_kernel_table(kind, grid))
+        path = str(tmp_path_factory.mktemp("kernel_table") / f"bump{dim}d.txt")
+        save_kernel_table(out[dim, "gaussian_bump"][1], path)
+        out[dim, "custom_table"] = (
+            grid, load_kernel_table(path, grid), out[dim, "gaussian_bump"][2]
+        )
+    return out
+
+
+@pytest.fixture(params=ORACLE_CASES, ids=[f"{dim}d-{kind}" for dim, kind in ORACLE_CASES])
+def oracle_case(request, oracle_kernels):
+    """One (grid, kernel, dense oracle table) per built-in kernel and lattice."""
+    return oracle_kernels[request.param]

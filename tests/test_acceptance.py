@@ -278,35 +278,46 @@ def test_criterion_09_poisson_convergence():
 
 
 def test_criterion_10_determinism(tmp_path):
-    config = ExperimentConfig(
-        nodes_per_axis=16, spatial_cells=16, t_final=2.0, record_every=5
-    )
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(format_config(config), encoding="utf-8")
-    outputs = []
-    for threads, sub in ((1, "one"), (4, "four")):
-        out_dir = tmp_path / sub
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "fermibolt",
-                "--threads",
-                str(threads),
-                "run",
-                str(cfg_path),
-                "--output-dir",
-                str(out_dir),
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append((out_dir / "diagnostics.csv").read_bytes())
-    identical = outputs[0] == outputs[1]
+    configs = {
+        "default": ExperimentConfig(
+            nodes_per_axis=16, spatial_cells=16, t_final=2.0, record_every=5
+        ),
+        # d_v = 2 runs the axis-separable Gaussian contractions
+        "bump2d": ExperimentConfig(
+            d_v=2, nodes_per_axis=16, spatial_cells=8, kernel="gaussian_bump",
+            t_final=0.2, record_every=5,
+        ),
+    }
+    identical = True
+    sizes = []
+    for label, config in configs.items():
+        cfg_path = tmp_path / f"{label}.cfg"
+        cfg_path.write_text(format_config(config), encoding="utf-8")
+        outputs = []
+        for threads, sub in ((1, "one"), (4, "four")):
+            out_dir = tmp_path / label / sub
+            proc = subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "fermibolt",
+                    "--threads",
+                    str(threads),
+                    "run",
+                    str(cfg_path),
+                    "--output-dir",
+                    str(out_dir),
+                ],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out_dir / "diagnostics.csv").read_bytes())
+        identical = identical and outputs[0] == outputs[1]
+        sizes.append(f"{label} {len(outputs[0])} bytes")
     _report(
         10,
         "determinism",
         identical,
-        f"{len(outputs[0])} bytes, thread counts 1 vs 4",
+        f"{', '.join(sizes)}, thread counts 1 vs 4",
     )

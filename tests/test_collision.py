@@ -212,3 +212,34 @@ def test_norm_probe_counts_mixed_batches(grid):
     assert result.skipped == 1
     assert not result.degenerate
     assert result.value > 0.0
+
+
+def test_structured_collision_matches_dense_oracle(oracle_case):
+    grid, kernel, table = oracle_case
+    rng = np.random.default_rng(47)
+    f = _random_admissible(rng, grid, 8)
+    q = apply_collision(f, kernel, grid)
+    q_dense = bf.dense_apply_collision(f, table, grid)
+    gain = grid.maxwellian * (1.0 - f) * bf.dense_scatter(f, table, grid)
+    assert float(np.max(np.abs(q - q_dense))) <= 1e-14 * float(np.max(np.abs(gain)))
+    # the on-demand dense table is the defining formula up to rounding
+    assert np.allclose(kernel.matrix, table, rtol=0.0, atol=1e-15)
+
+
+def test_gaussian_bump_at_64sq_holds_no_dense_table():
+    grid = build_velocity_grid(2, 8.0, 64)
+    kernel = build_kernel("gaussian_bump", grid)
+    held = sum(v.nbytes for v in vars(kernel).values() if isinstance(v, np.ndarray))
+    assert held <= 2 * 64**2 * 8
+    rng = np.random.default_rng(48)
+    f = _random_admissible(rng, grid, 8)
+    q = apply_collision(f, kernel, grid)
+    assert q.shape == f.shape
+    assert np.all(np.abs(integrate(q, grid)) <= 1e-14 * integrate(np.abs(q), grid))
+    # a few rows of Q against the dense formula, one table row at a time
+    a = grid.maxwellian * (1.0 - f)
+    for i in (0, 2080, 4095):
+        diff = grid.nodes - grid.nodes[i]
+        row = (1.0 + 0.5 * np.exp(-0.5 * np.sum(diff * diff, axis=-1))) * grid.weights
+        q_row = a[:, i] * (f @ row) - f[:, i] * (a @ row)
+        assert np.allclose(q[:, i], q_row, rtol=0.0, atol=1e-14 * float(np.max(np.abs(q))))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fermibolt import collision, evolution
 from fermibolt.velocity import build_velocity_grid
 from fermibolt.fields import build_spatial_grid, moments
 from fermibolt.collision import build_kernel
@@ -189,6 +190,21 @@ def test_collision_substep_orders(vgrid):
         errs = [float(np.max(np.abs(sols[k] - sols[k + 1]))) for k in range(2)]
         order = math.log2(errs[0] / errs[1])
         assert window[0] <= order <= window[1]
+
+
+def test_step_reads_the_stored_collision_ceiling(sgrid, vgrid, monkeypatch):
+    kern = build_kernel("gaussian_bump", vgrid)
+    assert kern.dt_ceiling == collision_dt_ceiling(kern, vgrid)
+
+    def recomputed(*args):
+        raise AssertionError("collision ceiling recomputed after the kernel build")
+
+    monkeypatch.setattr(collision, "collision_dt_ceiling", recomputed)
+    monkeypatch.setattr(evolution, "collision_dt_ceiling", recomputed)
+    init = initial_state(sgrid, vgrid, 1.0, 0.5)
+    dt = cfl_max_dt(init.state, kern, SchemeConfig(dt=1.0))
+    for splitting in ("lie", "strang"):
+        step(init.state.copy(), kern, dt, SchemeConfig(dt=dt, splitting=splitting))
 
 
 def test_full_step_advances_time_exactly(sgrid, vgrid, kernel):

@@ -193,6 +193,24 @@ def test_dissipation_matches_bruteforce():
     )
 
 
+def test_dissipation_matches_pairwise_near_equilibrium(oracle_case):
+    # D falls from ~1e-5 to ~1e-17 over the scan; the shifted two-contraction
+    # form must track the pairwise double sum in relative terms throughout
+    vg, kernel, table = oracle_case
+    sg = build_spatial_grid(8)
+    rng = np.random.default_rng(71)
+    base = fermi_profile(1.0 + 0.3 * np.cos(2.0 * np.pi * sg.centers), vg)
+    shape = rng.uniform(-1.0, 1.0, size=base.shape) * base * (1.0 - base)
+    values = []
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+        f = base + eps * shape
+        d = dissipation(f, kernel, vg, sg)
+        d_pair = bf.pairwise_dissipation(f, table, vg, sg)
+        assert abs(d - d_pair) <= 1e-13 * d_pair
+        values.append(d_pair)
+    assert values[0] > 1e-6 and values[-1] < 1e-16
+
+
 def test_dissipation_identity_chi_still_nonnegative(vgrid, sgrid):
     kernel = build_kernel("constant", vgrid)
     rng = np.random.default_rng(70)
