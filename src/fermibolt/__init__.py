@@ -43,7 +43,6 @@ _EXPORTS = {
     "centered_gradient": ".fields",
     "laplacian": ".fields",
     "solve_poisson": ".fields",
-    "build_fields": ".fields",
     # functionals and diagnostics
     "weighted_norm": ".functionals",
     "relative_entropy": ".functionals",
@@ -65,7 +64,6 @@ _EXPORTS = {
     "transport_step": ".evolution",
     "collision_step": ".evolution",
     "step": ".evolution",
-    "upwind_face_flux": ".evolution",
     # configuration
     "ConfigError": ".config",
     "ExperimentConfig": ".config",

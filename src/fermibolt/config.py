@@ -2,8 +2,8 @@
 
 Every key has a default; unknown keys are rejected rather than ignored
 so a typo cannot silently fall back to a default. `dt = auto` defers
-the step size to the CFL logic and `delta = auto` triggers the
-drift-coupling scan before the production run.
+the step size to the CFL logic and `delta = auto` lets the run's own
+first records choose the drift coupling.
 """
 from __future__ import annotations
 

@@ -11,6 +11,7 @@ ordered, which is what preserves the kappa sandwich in time.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "transport_step",
     "collision_step",
     "step",
-    "upwind_face_flux",
 ]
 
 TRANSPORT_ORDERS = ("upwind1", "muscl2")
@@ -139,20 +139,25 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(same_sign, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
 
 
-def _advect_once(f: np.ndarray, lam: np.ndarray, scheme: SchemeConfig) -> np.ndarray:
-    f_minus = np.roll(f, 1, axis=0)   # row x holds f[x-1]
-    f_plus = np.roll(f, -1, axis=0)   # row x holds f[x+1]
-    mu = np.abs(lam)
-    upstream = np.where(lam > 0.0, f - f_minus, f - f_plus)
-    f_new = f - mu * upstream
+def _advect_once(f: np.ndarray, mu: np.ndarray, scheme: SchemeConfig) -> np.ndarray:
+    # The mirror lattice puts every v1 < 0 node in the first half of the
+    # node axis, so each half is upwinded from a fixed side: f[x+1] for
+    # the first half, f[x-1] for the second. b[x] = f[x] - f[x-1] on a
+    # ghost-padded copy; f - mu (f - f[x+1]) is written f + mu b[x+1],
+    # which is the same float operation with both signs flipped.
+    half = f.shape[1] // 2
+    padded = np.concatenate([f[-1:], f, f[:1]])
+    b = padded[1:] - padded[:-1]
+    f_new = np.empty_like(f)
+    f_new[:, :half] = f[:, :half] + mu[:half] * b[1:, :half]
+    f_new[:, half:] = f[:, half:] - mu[half:] * b[:-1, half:]
     if scheme.transport_order == "muscl2":
-        slope = _minmod(f - f_minus, f_plus - f)
-        slope_minus = np.roll(slope, 1, axis=0)
-        slope_plus = np.roll(slope, -1, axis=0)
-        correction = np.where(
-            lam > 0.0, slope - slope_minus, slope_plus - slope
-        )
-        f_new = f_new - 0.5 * mu * (1.0 - mu) * correction
+        slope = _minmod(b[:-1], b[1:])
+        padded = np.concatenate([slope[-1:], slope, slope[:1]])
+        ds = padded[1:] - padded[:-1]
+        coef = 0.5 * mu * (1.0 - mu)
+        f_new[:, :half] -= coef[:half] * ds[1:, :half]
+        f_new[:, half:] -= coef[half:] * ds[:-1, half:]
     return f_new
 
 
@@ -174,13 +179,16 @@ def transport_step(
             f"transport step violates the CFL condition: Courant number "
             f"{courant:.6g} exceeds {_COURANT[scheme.transport_order]:g}"
         )
+    mu = np.abs(lam)
     if stages == 1:
-        f_new = _advect_once(f, lam, scheme)
+        f_new = _advect_once(f, mu, scheme)
     elif stages == 2:
-        f_new = 0.5 * f + 0.5 * _advect_once(_advect_once(f, lam, scheme), lam, scheme)
+        f_new = 0.5 * f + 0.5 * _advect_once(_advect_once(f, mu, scheme), mu, scheme)
     else:
         raise ValueError("stages must be 1 or 2")
-    return replace(state, f=f_new, time=state.time + dt)
+    return PhaseState(
+        f_new, state.time + dt, state.vgrid, state.sgrid, state.kappa_cache
+    )
 
 
 def collision_step(
@@ -215,29 +223,28 @@ def collision_step(
             f"collision step left [0, 1] (range [{fmin:g}, {fmax:g}]); "
             "the step-size logic is broken"
         )
-    return replace(state, f=f_new, time=state.time + dt)
+    return PhaseState(
+        f_new, state.time + dt, state.vgrid, state.sgrid, state.kappa_cache
+    )
 
 
 def step(state: PhaseState, kernel: CollisionKernel, dt: float,
-         scheme: SchemeConfig) -> PhaseState:
-    """One full splitting step of size dt."""
+         scheme: SchemeConfig,
+         check: Callable[[PhaseState], None] | None = None) -> PhaseState:
+    """One full splitting step of size dt.
+
+    `check`, when given, is called on the new state before it is
+    returned; it raises to abort the run at this step.
+    """
     if scheme.splitting == "lie":
         out = transport_step(state, dt, scheme)
         out = collision_step(out, kernel, dt, stages=1)
-        out.time = state.time + dt
-        return out
-    half = 0.5 * dt
-    out = transport_step(state, half, scheme, stages=2)
-    out = collision_step(out, kernel, dt, stages=2)
-    out = transport_step(out, half, scheme, stages=2)
+    else:
+        half = 0.5 * dt
+        out = transport_step(state, half, scheme, stages=2)
+        out = collision_step(out, kernel, dt, stages=2)
+        out = transport_step(out, half, scheme, stages=2)
     out.time = state.time + dt
+    if check is not None:
+        check(out)
     return out
-
-
-def upwind_face_flux(f: np.ndarray, vgrid: VelocityGrid,
-                     sgrid: SpatialGrid) -> np.ndarray:
-    """Donor-cell mass flux through face x+1/2 for every cell index x."""
-    v1 = vgrid.first_axis
-    take_left = v1 > 0.0
-    donor = np.where(take_left[None, :], f, np.roll(f, -1, axis=0))
-    return np.sum(donor * (v1 * vgrid.weights)[None, :], axis=-1)

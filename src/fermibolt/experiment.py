@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +60,7 @@ __all__ = [
 ]
 
 SNAPSHOT_STRIDE = 10          # full state every this many records
+DELTA_WINDOW = 5.0            # time span whose records choose delta = auto
 MASS_DRIFT_TOL = 1e-12        # relative, abort threshold
 DISSIPATION_FLOOR = -1e-12    # abort if D drops below
 FIT_MIN_RECORDS = 20
@@ -114,9 +116,9 @@ def _diagnose(
     state: PhaseState,
     kernel: CollisionKernel,
     eq: EquilibriumProfile,
-    delta: float,
     prev: DiagnosticsRecord | None,
 ) -> DiagnosticsRecord:
+    """The record of a state; E and ratio_c6 stay nan until `_couple`."""
     vg, sg = state.vgrid, state.sgrid
     f = state.f
     rho, j = moments(f, vg)
@@ -131,27 +133,52 @@ def _diagnose(
     entropy = relative_entropy(f, eq.profile, vg, sg)
     production = dissipation(f, kernel, vg, sg)
     pairing = field_current_pairing(fields, sg)
-    lyapunov = entropy + delta * pairing
     if prev is not None and dist_local > 0.0 and state.time > prev.t:
         ratio_c1 = (prev.H - entropy) / (state.time - prev.t) / dist_local**2
     else:
         ratio_c1 = math.nan
-    ratio_c6 = lyapunov / dist_total**2 if dist_total > 0.0 else math.nan
     return DiagnosticsRecord(
         t=state.time,
         mass=mass,
         H=entropy,
-        E=lyapunov,
+        E=math.nan,
         D=production,
         dist_total=dist_total,
         dist_local=dist_local,
         dist_hydro=dist_hydro,
         pairing=pairing,
         ratio_c1=ratio_c1,
-        ratio_c6=ratio_c6,
+        ratio_c6=math.nan,
         kappa_min=float(kappa.min()),
         kappa_max=float(kappa.max()),
     )
+
+
+def _couple(record: DiagnosticsRecord, delta: float) -> DiagnosticsRecord:
+    """Fill in the augmented functional E = H + delta * pairing and E / dist^2."""
+    lyapunov = record.H + delta * record.pairing
+    dist_total = record.dist_total
+    ratio_c6 = lyapunov / dist_total**2 if dist_total > 0.0 else math.nan
+    return replace(record, E=lyapunov, ratio_c6=ratio_c6)
+
+
+def _check_mass(step_index: int, mass: float, mass0: float) -> None:
+    drift = abs(mass - mass0)
+    if drift > MASS_DRIFT_TOL * abs(mass0):
+        raise InvariantViolation(
+            step_index, "mass", f"drift {drift:.3e} relative to {mass0:.6g}"
+        )
+
+
+def _check_sandwich(step_index: int, f: np.ndarray, init: InitialData) -> None:
+    if np.any(f < init.f_lower) or np.any(f > init.f_upper):
+        low = float(np.min(f - init.f_lower[None, :]))
+        high = float(np.max(f - init.f_upper[None, :]))
+        raise InvariantViolation(
+            step_index,
+            "sandwich",
+            f"barrier defect below {low:.3e} / above {high:.3e}",
+        )
 
 
 def _check_invariants(
@@ -161,21 +188,10 @@ def _check_invariants(
     mass0: float,
     init: InitialData,
 ) -> None:
-    drift = abs(record.mass - mass0)
-    if drift > MASS_DRIFT_TOL * abs(mass0):
-        raise InvariantViolation(
-            step_index, "mass", f"drift {drift:.3e} relative to {mass0:.6g}"
-        )
+    _check_mass(step_index, record.mass, mass0)
     if record.D < DISSIPATION_FLOOR:
         raise InvariantViolation(step_index, "dissipation", f"D = {record.D:.3e}")
-    low = float(np.min(state.f - init.f_lower[None, :]))
-    high = float(np.max(state.f - init.f_upper[None, :]))
-    if low < 0.0 or high > 0.0:
-        raise InvariantViolation(
-            step_index,
-            "sandwich",
-            f"barrier defect below {low:.3e} / above {high:.3e}",
-        )
+    _check_sandwich(step_index, state.f, init)
 
 
 def choose_delta(
@@ -185,7 +201,7 @@ def choose_delta(
     dist_total: np.ndarray,
     candidates=DELTA_CANDIDATES,
 ) -> float:
-    """Pick the drift coupling from a pilot trajectory.
+    """Pick the drift coupling from samples of the run's first time units.
 
     Among the candidate values for which the augmented functional stays
     equivalent to the squared distance (positive ratio throughout), take
@@ -194,7 +210,7 @@ def choose_delta(
     """
     usable = dist_total > DIST_EPS
     if np.count_nonzero(usable) < 3:
-        raise ConfigError("pilot trajectory too short to scan delta")
+        raise ConfigError("delta window too short to scan delta")
     best = None
     best_score = -np.inf
     for cand in sorted(candidates, reverse=True):
@@ -220,38 +236,15 @@ def choose_delta(
     return best
 
 
-def _resolve_delta(
-    config: ExperimentConfig,
-    init: InitialData,
-    kernel: CollisionKernel,
-    eq: EquilibriumProfile,
-    scheme: SchemeConfig,
-) -> float:
-    if config.delta is not None:
-        return config.delta
-    t_pilot = min(config.t_final, 5.0)
-    n_steps = max(1, math.ceil(t_pilot / scheme.dt - 1e-12))
-    state = init.state.copy()
-    vg, sg = state.vgrid, state.sgrid
-    times, entropies, pairings, dists = [], [], [], []
+def _resolve_delta(samples: list[tuple]) -> float:
+    """Pick delta from the (t, H, pairing, dist_total) samples of the window."""
+    t, entropy, pairing, dist_total = (np.array(column) for column in zip(*samples))
+    return choose_delta(t, entropy, pairing, dist_total)
 
-    def collect(state: PhaseState) -> None:
-        rho, j = moments(state.f, vg)
-        phi, grad_phi = solve_poisson(rho, eq.density, sg)
-        fields = FieldSet(rho=rho, j=j, phi=phi, grad_phi=grad_phi)
-        times.append(state.time)
-        entropies.append(relative_entropy(state.f, eq.profile, vg, sg))
-        pairings.append(field_current_pairing(fields, sg))
-        dists.append(weighted_norm(state.f - eq.profile[None, :], vg, sg))
 
-    collect(state)
-    for k in range(1, n_steps + 1):
-        state = step(state, kernel, scheme.dt, scheme)
-        if k % config.record_every == 0 or k == n_steps:
-            collect(state)
-    return choose_delta(
-        np.array(times), np.array(entropies), np.array(pairings), np.array(dists)
-    )
+def _write_manifest(snap_dir: str, config: ExperimentConfig) -> None:
+    with open(os.path.join(snap_dir, "manifest.cfg"), "w", encoding="utf-8") as fh:
+        fh.write(format_config(config))
 
 
 def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> RunResult:
@@ -260,6 +253,11 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     When `output_dir` is given the diagnostics stream to
     diagnostics.csv, sparse snapshots and a manifest go to snapshots/,
     and the rate report is written in both text and key = value form.
+
+    With `delta = auto` the first min(t_final, DELTA_WINDOW) of the run
+    itself chooses delta: its records are held, without E and ratio_c6,
+    until the step that closes the window; then delta is resolved, the
+    held records are completed and written, and the run streams on.
     """
     config.validate()
     vgrid = build_velocity_grid(config.d_v, config.half_width, config.nodes_per_axis)
@@ -291,8 +289,9 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     mass0 = float(np.sum(rho0)) * sgrid.spacing
     eq = global_equilibrium(mass0, sgrid.volume, vgrid)
 
-    delta = _resolve_delta(config, init, kernel, eq, scheme)
-    resolved = replace(config, dt=dt, delta=delta)
+    delta = config.delta  # None until the window closes on an auto run
+    n_steps = max(1, math.ceil(config.t_final / dt - 1e-12))
+    n_window = max(1, math.ceil(min(config.t_final, DELTA_WINDOW) / dt - 1e-12))
 
     writer = None
     snap_dir = None
@@ -300,22 +299,22 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
         os.makedirs(output_dir, exist_ok=True)
         snap_dir = os.path.join(output_dir, "snapshots")
         os.makedirs(snap_dir, exist_ok=True)
-        with open(os.path.join(snap_dir, "manifest.cfg"), "w", encoding="utf-8") as fh:
-            fh.write(format_config(resolved))
+        _write_manifest(snap_dir, replace(config, dt=dt))
         writer = CsvWriter(os.path.join(output_dir, "diagnostics.csv"))
 
     state = init.state.copy()
     records: list[DiagnosticsRecord] = []
     audit_states: list[PhaseState] = []
-    n_steps = max(1, math.ceil(config.t_final / dt - 1e-12))
 
     def on_record(step_index: int, state: PhaseState) -> None:
         prev = records[-1] if records else None
-        record = _diagnose(state, kernel, eq, delta, prev)
+        record = _diagnose(state, kernel, eq, prev)
         _check_invariants(step_index, state, record, mass0, init)
+        if delta is not None:
+            record = _couple(record, delta)
+            if writer is not None:
+                writer.write(record)
         records.append(record)
-        if writer is not None:
-            writer.write(record)
         if (len(records) - 1) % SNAPSHOT_STRIDE == 0:
             audit_states.append(state.copy())
             if snap_dir is not None:
@@ -323,15 +322,39 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
                     state, os.path.join(snap_dir, f"state_{step_index:08d}.snap")
                 )
 
+    def check_step(step_index: int, state: PhaseState) -> None:
+        # node totals first: far cheaper than `moments`, same mass to rounding
+        mass = float(np.sum(np.sum(state.f, axis=0) * vgrid.weights)) * sgrid.spacing
+        _check_mass(step_index, mass, mass0)
+        _check_sandwich(step_index, state.f, init)
+
     try:
         on_record(0, state)
         for k in range(1, n_steps + 1):
-            state = step(state, kernel, dt, scheme)
-            if k % config.record_every == 0 or k == n_steps:
+            state = step(state, kernel, dt, scheme, check=partial(check_step, k))
+            recorded = k % config.record_every == 0 or k == n_steps
+            if recorded:
                 on_record(k, state)
+            if delta is None and k == n_window:
+                samples = [(r.t, r.H, r.pairing, r.dist_total) for r in records]
+                if not recorded:
+                    # a copy, so the warm start of later records stays as it was
+                    extra = _diagnose(state.copy(), kernel, eq, None)
+                    samples.append((extra.t, extra.H, extra.pairing, extra.dist_total))
+                delta = _resolve_delta(samples)
+                records[:] = [_couple(r, delta) for r in records]
+                if writer is not None:
+                    _write_manifest(snap_dir, replace(config, dt=dt, delta=delta))
+                    for record in records:
+                        writer.write(record)
     finally:
         if writer is not None:
+            if delta is None:
+                # Stopped inside the window: keep the rows, E and ratio_c6 nan.
+                for record in records:
+                    writer.write(record)
             writer.close()
+    resolved = replace(config, dt=dt, delta=delta)
 
     report: RateReport | None = None
     try:

@@ -3,16 +3,14 @@
 Space is the unit torus split into equal cells. The potential solves
 -lap phi = rho - rho_inf with the standard 3-point Laplacian and a
 zero-mean gauge; the gradient uses the centered 2-point stencil so that
-summation by parts holds exactly on the periodic grid. Two independent
-routes are provided: a Fourier solve with the zero mode pinned to zero,
-and a direct cyclic-tridiagonal elimination.
+summation by parts holds exactly on the periodic grid. The solve is a
+Fourier one with the zero mode pinned to zero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .velocity import VelocityGrid, integrate
 
@@ -24,7 +22,6 @@ __all__ = [
     "solve_poisson",
     "centered_gradient",
     "laplacian",
-    "build_fields",
 ]
 
 
@@ -89,26 +86,10 @@ def _poisson_fft(source: np.ndarray, sgrid: SpatialGrid) -> np.ndarray:
     return np.fft.irfft(phi_hat, n=n)
 
 
-def _poisson_tridiagonal(source: np.ndarray, sgrid: SpatialGrid) -> np.ndarray:
-    # Gauge phi[-1] = 0; the periodic corner couplings then move to the
-    # right-hand side and the remaining system is strictly tridiagonal.
-    n = sgrid.cells
-    h2 = sgrid.spacing**2
-    rhs = source[: n - 1] * h2
-    band = np.zeros((3, n - 1))
-    band[0, 1:] = -1.0
-    band[1, :] = 2.0
-    band[2, :-1] = -1.0
-    phi = np.zeros(n)
-    phi[: n - 1] = solve_banded((1, 1), band, rhs)
-    return phi - np.sum(phi) / n
-
-
 def solve_poisson(
     rho: np.ndarray,
     rho_inf: float,
     sgrid: SpatialGrid,
-    method: str = "fft",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve -lap phi = rho - rho_inf on the torus, zero-mean gauge.
 
@@ -123,22 +104,6 @@ def solve_poisson(
             f"Poisson source must have zero mean, got {mean:.3e}"
         )
     source = source - mean  # strip the rounding-level zero mode
-    if method == "fft":
-        phi = _poisson_fft(source, sgrid)
-    elif method == "tridiagonal":
-        phi = _poisson_tridiagonal(source, sgrid)
-    else:
-        raise ValueError(f"unknown Poisson method {method!r}")
+    phi = _poisson_fft(source, sgrid)
     return phi, centered_gradient(phi, sgrid)
 
-
-def build_fields(
-    f: np.ndarray,
-    rho_inf: float,
-    vgrid: VelocityGrid,
-    sgrid: SpatialGrid,
-    method: str = "fft",
-) -> FieldSet:
-    rho, j = moments(f, vgrid)
-    phi, grad_phi = solve_poisson(rho, rho_inf, sgrid, method=method)
-    return FieldSet(rho=rho, j=j, phi=phi, grad_phi=grad_phi)

@@ -229,3 +229,106 @@ def pairwise_dissipation(f, kernel_matrix, vgrid, sgrid, chunk_cells=8):
         aa = a[sl, :, None] * a[sl, None, :]
         total += float(np.sum(pair_weight * aa * df * dchi))
     return 0.5 * total * sgrid.spacing
+
+
+def tridiagonal_poisson(source, sgrid):
+    """-lap phi = source on the torus by cyclic-tridiagonal elimination.
+
+    Gauge phi[-1] = 0; the periodic corner couplings then move to the
+    right-hand side and the remaining system is strictly tridiagonal.
+    The result is shifted to zero mean.
+    """
+    from scipy.linalg import solve_banded
+
+    n = sgrid.cells
+    rhs = np.asarray(source, dtype=float)[: n - 1] * sgrid.spacing**2
+    band = np.zeros((3, n - 1))
+    band[0, 1:] = -1.0
+    band[1, :] = 2.0
+    band[2, :-1] = -1.0
+    phi = np.zeros(n)
+    phi[: n - 1] = solve_banded((1, 1), band, rhs)
+    return phi - np.sum(phi) / n
+
+
+def bf_upwind_face_flux(f, vgrid, sgrid):
+    """Donor-cell mass flux through face x+1/2 for every cell index x."""
+    n_cells = f.shape[0]
+    flux = np.zeros(n_cells)
+    for x in range(n_cells):
+        for i in range(vgrid.n_nodes):
+            v1 = vgrid.first_axis[i]
+            donor = f[x, i] if v1 > 0.0 else f[(x + 1) % n_cells, i]
+            flux[x] += donor * v1 * vgrid.weights[i]
+    return flux
+
+
+def _minmod(a, b):
+    same_sign = a * b > 0.0
+    return np.where(same_sign, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+
+
+def roll_advect_once(f, lam, transport_order):
+    """One monotone transport update, upwind side chosen per node by sign."""
+    f_minus = np.roll(f, 1, axis=0)   # row x holds f[x-1]
+    f_plus = np.roll(f, -1, axis=0)   # row x holds f[x+1]
+    mu = np.abs(lam)
+    upstream = np.where(lam > 0.0, f - f_minus, f - f_plus)
+    f_new = f - mu * upstream
+    if transport_order == "muscl2":
+        slope = _minmod(f - f_minus, f_plus - f)
+        slope_minus = np.roll(slope, 1, axis=0)
+        slope_plus = np.roll(slope, -1, axis=0)
+        correction = np.where(lam > 0.0, slope - slope_minus, slope_plus - slope)
+        f_new = f_new - 0.5 * mu * (1.0 - mu) * correction
+    return f_new
+
+
+def roll_transport(f, lam, transport_order, stages):
+    """Transport substep of `stages` (1 or 2, a Heun pair) roll updates."""
+    once = roll_advect_once(f, lam, transport_order)
+    if stages == 1:
+        return once
+    return 0.5 * f + 0.5 * roll_advect_once(once, lam, transport_order)
+
+
+def pilot_samples(result):
+    """The (t, H, pairing, dist_total) arrays of a separate delta pilot pass.
+
+    Re-steps the first min(t_final, 5) of a run from its initial
+    state in a loop of its own, sampling on the record grid and at the
+    window's last step; this is the two-pass form of `delta = auto`.
+    """
+    from fermibolt.evolution import SchemeConfig, step
+    from fermibolt.fields import FieldSet, moments, solve_poisson
+    from fermibolt.functionals import field_current_pairing, relative_entropy, weighted_norm
+
+    config, eq, dt = result.config, result.equilibrium, result.dt
+    scheme = SchemeConfig(
+        dt=dt,
+        cfl_safety=config.cfl_safety,
+        transport_order=config.transport,
+        splitting=config.splitting,
+    )
+    state = result.initial.state.copy()
+    vg, sg = state.vgrid, state.sgrid
+    samples = []
+
+    def collect(state):
+        rho, j = moments(state.f, vg)
+        phi, grad_phi = solve_poisson(rho, eq.density, sg)
+        fields = FieldSet(rho=rho, j=j, phi=phi, grad_phi=grad_phi)
+        samples.append((
+            state.time,
+            relative_entropy(state.f, eq.profile, vg, sg),
+            field_current_pairing(fields, sg),
+            weighted_norm(state.f - eq.profile[None, :], vg, sg),
+        ))
+
+    n_steps = max(1, math.ceil(min(config.t_final, 5.0) / dt - 1e-12))
+    collect(state)
+    for k in range(1, n_steps + 1):
+        state = step(state, result.kernel, dt, scheme)
+        if k % config.record_every == 0 or k == n_steps:
+            collect(state)
+    return tuple(np.array(column) for column in zip(*samples))

@@ -20,6 +20,8 @@ from fermibolt.evolution import (
 )
 from fermibolt.velocity import integrate
 
+import _bruteforce as bf
+
 
 @pytest.fixture(scope="module")
 def vgrid():
@@ -131,6 +133,21 @@ def test_transport_preserves_uniform_states(sgrid, vgrid):
             out = transport_step(state, dt, SchemeConfig(dt=dt, transport_order=order),
                                  stages=stages)
             assert np.array_equal(out.f, f)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("stages", [1, 2])
+@pytest.mark.parametrize("order", ["upwind1", "muscl2"])
+def test_transport_matches_roll_oracle_bitwise(dim, stages, order):
+    vg = build_velocity_grid(dim, 8.0, 64 if dim == 1 else 16)
+    sg = build_spatial_grid(32)
+    rng = np.random.default_rng(84)
+    state = _random_state(rng, sg, vg)
+    dt = 0.45 * sg.spacing / float(np.max(np.abs(vg.first_axis)))
+    out = transport_step(state, dt, SchemeConfig(dt=dt, transport_order=order),
+                         stages=stages)
+    lam = vg.first_axis * (dt / sg.spacing)
+    assert np.array_equal(out.f, bf.roll_transport(state.f, lam, order, stages))
 
 
 def test_transport_conserves_mass(sgrid, vgrid):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from fermibolt import cli
+from fermibolt import cli, evolution, experiment
 from fermibolt.config import (
     DELTA_CANDIDATES,
     ConfigError,
@@ -25,6 +25,8 @@ from fermibolt.experiment import (
 )
 from fermibolt.functionals import DiagnosticsRecord
 from fermibolt.storage import CsvWriter, load_csv
+
+import _bruteforce as bf
 
 
 def _fake_records(t, dist, lyap):
@@ -182,6 +184,119 @@ def test_auto_delta_resolution():
     assert result.config.delta in DELTA_CANDIDATES
     assert result.rate_report is not None
     assert result.rate_report.delta == result.config.delta
+
+
+# Two auto runs: the delta window closes on the last step (t_final <= 5),
+# and off the record grid, long before the end (t_final > 5).
+AUTO_CASES = {"short": (3.0, 10), "long_off_grid": (7.3, 7)}
+
+
+def _tree_bytes(root):
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+@pytest.fixture(scope="module", params=sorted(AUTO_CASES))
+def auto_run(request, tmp_path_factory):
+    """A delta = auto run with its step calls and its delta scan input recorded."""
+    t_final, record_every = AUTO_CASES[request.param]
+    config = ExperimentConfig(
+        nodes_per_axis=16,
+        spatial_cells=16,
+        t_final=t_final,
+        record_every=record_every,
+        delta=None,
+    )
+    out_dir = tmp_path_factory.mktemp(f"auto_{request.param}")
+    seen = {"steps": 0, "scanned": None}
+    real_step, real_choose = experiment.step, experiment.choose_delta
+
+    def counted_step(*args, **kwargs):
+        seen["steps"] += 1
+        return real_step(*args, **kwargs)
+
+    def recorded_choose(*arrays, **kwargs):
+        seen["scanned"] = arrays
+        return real_choose(*arrays, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "step", counted_step)
+        mp.setattr(experiment, "choose_delta", recorded_choose)
+        result = run_experiment(config, output_dir=str(out_dir))
+    return config, result, seen
+
+
+def test_auto_delta_steps_each_trajectory_once(auto_run):
+    _, result, seen = auto_run
+    n_steps = math.ceil(result.config.t_final / result.dt - 1e-12)
+    assert seen["steps"] == n_steps
+
+
+def test_auto_delta_scans_the_two_pass_pilot_samples(auto_run):
+    config, result, seen = auto_run
+    n_steps = math.ceil(config.t_final / result.dt - 1e-12)
+    n_window = math.ceil(min(config.t_final, 5.0) / result.dt - 1e-12)
+    if config.t_final > 5.0:
+        assert n_window < n_steps and n_window % config.record_every != 0
+    pilot = bf.pilot_samples(result)
+    assert len(seen["scanned"]) == len(pilot)
+    for got, want in zip(seen["scanned"], pilot):
+        assert np.array_equal(got, want)
+
+
+def test_auto_delta_artifacts_match_two_pass_run(auto_run, tmp_path):
+    config, result, _ = auto_run
+    delta = choose_delta(*bf.pilot_samples(result))
+    two_pass = run_experiment(
+        dataclasses.replace(config, delta=delta), output_dir=str(tmp_path)
+    )
+    assert two_pass.config == result.config
+    got, want = _tree_bytes(result.output_dir), _tree_bytes(tmp_path)
+    assert sorted(got) == sorted(want)
+    assert "diagnostics.csv" in got and os.path.join("snapshots", "manifest.cfg") in got
+    for name in want:
+        assert got[name] == want[name], name
+
+
+@pytest.mark.parametrize("quantity", ["mass", "sandwich"])
+def test_violation_between_records_aborts_at_its_step(quantity, monkeypatch, tmp_path):
+    real_collision_step = evolution.collision_step
+    calls = [0]
+
+    def broken(state, *args, **kwargs):
+        out = real_collision_step(state, *args, **kwargs)
+        calls[0] += 1
+        if calls[0] == 3:
+            f = out.f.copy()
+            if quantity == "mass":
+                f *= 1.0 + 1e-9
+            else:
+                # move occupation between mirror nodes: mass stays, f leaves [0, 1]
+                pair = f[0, 0] + f[0, -1]
+                f[0, 0], f[0, -1] = 1.0, pair - 1.0
+            out.f = f
+        return out
+
+    monkeypatch.setattr(evolution, "collision_step", broken)
+    config = ExperimentConfig(
+        nodes_per_axis=16, spatial_cells=16, t_final=1.0, record_every=10, delta=None
+    )
+    with pytest.raises(InvariantViolation) as err:
+        run_experiment(config, output_dir=str(tmp_path))
+    assert err.value.step_index == 3
+    assert err.value.quantity == quantity
+    # aborted inside the delta window: the snapshot, an unresolved manifest,
+    # and the record rows without the delta-dependent columns stay on disk
+    assert load_config(str(tmp_path / "snapshots" / "manifest.cfg")).delta is None
+    assert (tmp_path / "snapshots" / "state_00000000.snap").exists()
+    records, warnings = load_csv(str(tmp_path / "diagnostics.csv"))
+    assert warnings == 0 and len(records) == 1
+    assert math.isnan(records[0].E) and math.isnan(records[0].ratio_c6)
 
 
 # ------------------------------------------------------------ run behavior

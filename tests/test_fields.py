@@ -13,7 +13,7 @@ from fermibolt.fields import (
 )
 from fermibolt.equilibrium import fermi_profile
 from fermibolt.functionals import weighted_norm
-from fermibolt.evolution import PhaseState, SchemeConfig, transport_step, upwind_face_flux
+from fermibolt.evolution import PhaseState, SchemeConfig, transport_step
 
 import _bruteforce as bf
 
@@ -99,8 +99,8 @@ def test_poisson_fft_and_tridiagonal_agree(sgrid):
     rng = np.random.default_rng(54)
     source = rng.standard_normal(64)
     source -= source.mean()
-    phi_f, _ = solve_poisson(source, 0.0, sgrid, method="fft")
-    phi_t, _ = solve_poisson(source, 0.0, sgrid, method="tridiagonal")
+    phi_f, _ = solve_poisson(source, 0.0, sgrid)
+    phi_t = bf.tridiagonal_poisson(source, sgrid)
     assert float(np.max(np.abs(phi_f - phi_t))) <= 1e-12
 
 
@@ -163,6 +163,6 @@ def test_density_update_matches_face_flux(sgrid, vgrid):
     after = transport_step(state, dt, scheme, stages=1)
     rho0, _ = moments(f, vgrid)
     rho1, _ = moments(after.f, vgrid)
-    flux = upwind_face_flux(f, vgrid, sgrid)
+    flux = bf.bf_upwind_face_flux(f, vgrid, sgrid)
     expected = rho0 - (dt / sgrid.spacing) * (flux - np.roll(flux, 1))
     assert np.allclose(rho1, expected, rtol=0.0, atol=1e-13)

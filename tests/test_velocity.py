@@ -95,6 +95,15 @@ def test_odd_integrands_cancel_exactly_2d():
     assert integrate(grid.nodes[:, 1] * grid.maxwellian, grid) == 0.0
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_first_half_of_nodes_has_negative_first_component(dim):
+    # transport upwinds the two halves of the node axis from fixed sides
+    grid = build_velocity_grid(dim, 8.0, 16)
+    half = grid.n_nodes // 2
+    assert np.all(grid.first_axis[:half] < 0.0)
+    assert np.all(grid.first_axis[half:] > 0.0)
+
+
 def test_tail_mass_matches_erf():
     grid = build_velocity_grid(1, 8.0, 64)
     assert math.isclose(grid.tail_mass, TAIL_MASS_L8, rel_tol=1e-6)
