@@ -208,8 +208,12 @@ def apply_collision(f: np.ndarray, kernel: CollisionKernel,
             f"occupation numbers must lie in [0, 1], found range "
             f"[{fmin:g}, {fmax:g}]"
         )
-    gain_weight = grid.maxwellian * (1.0 - f)
-    q = gain_weight * kernel.scatter(f) - f * kernel.scatter(gain_weight)
+    gain_weight = 1.0 - f
+    gain_weight *= grid.maxwellian
+    scattered_gain = kernel.scatter(gain_weight)
+    q = gain_weight  # G * (S f) - f * (S G), built in the G buffer
+    q *= kernel.scatter(f)
+    q -= f * scattered_gain
     return q[0] if single else q
 
 

@@ -8,6 +8,18 @@ explicit with a step-size ceiling that makes the update a convex
 combination; under that ceiling occupations stay in [0, 1] and any
 pair of lattice Fermi-Dirac barriers ordered around the state remains
 ordered, which is what preserves the kappa sandwich in time.
+
+A run builds one `StepPlan` with `plan_step` before it steps (and
+before it writes anything). The plan checks the step size once: the
+Courant number of the transport sub-step (dt / 2 under Strang, dt under
+Lie) against the limit of the transport order, and dt against the
+collision ceiling; either failure raises ValueError. It also holds the
+per-node Courant numbers and the signed MUSCL coefficient, so no
+sub-step rebuilds them. What still runs on every sub-step is what
+depends on the state: `apply_collision` refuses input outside [0, 1],
+and each collision sub-step checks that its result stays in [0, 1].
+The run's own mass and sandwich checks come in through `step`'s
+`check` callback.
 """
 from __future__ import annotations
 
@@ -28,6 +40,8 @@ __all__ = [
     "initial_state",
     "cfl_max_dt",
     "collision_dt_ceiling",
+    "StepPlan",
+    "plan_step",
     "transport_step",
     "collision_step",
     "step",
@@ -139,32 +153,88 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(same_sign, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
 
 
-def _advect_once(f: np.ndarray, mu: np.ndarray, scheme: SchemeConfig) -> np.ndarray:
-    # The mirror lattice puts every v1 < 0 node in the first half of the
-    # node axis, so each half is upwinded from a fixed side: f[x+1] for
-    # the first half, f[x-1] for the second. b[x] = f[x] - f[x-1] on a
-    # ghost-padded copy; f - mu (f - f[x+1]) is written f + mu b[x+1],
-    # which is the same float operation with both signs flipped.
-    half = f.shape[1] // 2
-    padded = np.concatenate([f[-1:], f, f[:1]])
-    b = padded[1:] - padded[:-1]
-    f_new = np.empty_like(f)
-    f_new[:, :half] = f[:, :half] + mu[:half] * b[1:, :half]
-    f_new[:, half:] = f[:, half:] - mu[half:] * b[:-1, half:]
+@dataclass(frozen=True, eq=False)
+class StepPlan:
+    """The constants of one run's `step`, checked once by `plan_step`.
+
+    The mirror lattice puts every v1 < 0 node in the first half of the
+    node axis, so the upwind side of a node is fixed by its half: row
+    x+1 for the first half, row x-1 for the second. `muscl` carries that
+    side in its sign.
+    """
+
+    kernel: CollisionKernel
+    dt: float
+    splitting: str
+    transport_dt: float        # dt / 2 under Strang, dt under Lie
+    mu: np.ndarray             # (nodes,) Courant number |v1| transport_dt / dx
+    muscl: np.ndarray | None   # (nodes,) -+0.5 mu (1 - mu) by half; None for upwind1
+
+
+def plan_step(kernel: CollisionKernel, vgrid: VelocityGrid, sgrid: SpatialGrid,
+              scheme: SchemeConfig) -> StepPlan:
+    """Check scheme.dt against the Courant limit and the collision ceiling.
+
+    Raises ValueError when either fails; a plan that is returned keeps
+    every transport update monotone and every collision update convex.
+    """
+    transport_dt = 0.5 * scheme.dt if scheme.splitting == "strang" else scheme.dt
+    lam = vgrid.first_axis * (transport_dt / sgrid.spacing)
+    courant = float(np.max(np.abs(lam)))
+    if courant > _COURANT[scheme.transport_order] * (1.0 + 1e-12):
+        raise ValueError(
+            f"transport step violates the CFL condition: Courant number "
+            f"{courant:.6g} exceeds {_COURANT[scheme.transport_order]:g}"
+        )
+    ceiling = kernel.dt_ceiling
+    if scheme.dt > ceiling * (1.0 + 1e-9):
+        raise ValueError(
+            f"collision step dt={scheme.dt:.6g} exceeds the monotonicity ceiling "
+            f"{ceiling:.6g}"
+        )
+    mu = np.abs(lam)
+    muscl = None
     if scheme.transport_order == "muscl2":
-        slope = _minmod(b[:-1], b[1:])
-        padded = np.concatenate([slope[-1:], slope, slope[:1]])
-        ds = padded[1:] - padded[:-1]
-        coef = 0.5 * mu * (1.0 - mu)
-        f_new[:, :half] -= coef[:half] * ds[1:, :half]
-        f_new[:, half:] -= coef[half:] * ds[:-1, half:]
+        muscl = 0.5 * mu * (1.0 - mu)
+        muscl[: vgrid.n_nodes // 2] *= -1.0
+    return StepPlan(kernel, scheme.dt, scheme.splitting, transport_dt, mu, muscl)
+
+
+def _upwind_neighbour(a: np.ndarray) -> np.ndarray:
+    """Row x+1 of `a` on the first half of the node axis, row x-1 on the second."""
+    half = a.shape[1] // 2
+    out = np.empty_like(a)
+    out[:-1, :half] = a[1:, :half]
+    out[-1, :half] = a[0, :half]
+    out[1:, half:] = a[:-1, half:]
+    out[0, half:] = a[-1, half:]
+    return out
+
+
+def _advect_once(f: np.ndarray, plan: StepPlan) -> np.ndarray:
+    # f + mu (f_up - f) in increment form: a uniform state stays bitwise
+    # fixed, and it is the same float operation as f - mu (f - f_up).
+    f_new = _upwind_neighbour(f)
+    f_new -= f
+    f_new *= plan.mu
+    f_new += f
+    if plan.muscl is not None:
+        ahead = np.empty_like(f)  # f[x+1] - f[x]
+        np.subtract(f[1:], f[:-1], out=ahead[:-1])
+        np.subtract(f[:1], f[-1:], out=ahead[-1:])
+        behind = np.empty_like(f)  # f[x] - f[x-1]
+        behind[1:] = ahead[:-1]
+        behind[0] = ahead[-1]
+        slope = _minmod(behind, ahead)
+        ds = _upwind_neighbour(slope)
+        ds -= slope
+        ds *= plan.muscl
+        f_new += ds
     return f_new
 
 
-def transport_step(
-    state: PhaseState, dt: float, scheme: SchemeConfig, stages: int = 1
-) -> PhaseState:
-    """Advect every velocity node around the torus for one step of dt.
+def transport_step(state: PhaseState, plan: StepPlan, stages: int = 1) -> PhaseState:
+    """Advect every velocity node around the torus for plan.transport_dt.
 
     stages=1 is the plain monotone update; stages=2 wraps it in a Heun
     pair (a convex combination of two such updates), which keeps every
@@ -172,51 +242,41 @@ def transport_step(
     accuracy in dt for the symmetric splitting.
     """
     f = state.f
-    lam = state.vgrid.first_axis * (dt / state.sgrid.spacing)
-    courant = float(np.max(np.abs(lam)))
-    if courant > _COURANT[scheme.transport_order] * (1.0 + 1e-12):
-        raise ValueError(
-            f"transport step violates the CFL condition: Courant number "
-            f"{courant:.6g} exceeds {_COURANT[scheme.transport_order]:g}"
-        )
-    mu = np.abs(lam)
     if stages == 1:
-        f_new = _advect_once(f, mu, scheme)
+        f_new = _advect_once(f, plan)
     elif stages == 2:
-        f_new = 0.5 * f + 0.5 * _advect_once(_advect_once(f, mu, scheme), mu, scheme)
+        f_new = _advect_once(_advect_once(f, plan), plan)
+        f_new *= 0.5
+        f_new += 0.5 * f
     else:
         raise ValueError("stages must be 1 or 2")
     return PhaseState(
-        f_new, state.time + dt, state.vgrid, state.sgrid, state.kappa_cache
+        f_new, state.time + plan.transport_dt, state.vgrid, state.sgrid,
+        state.kappa_cache,
     )
 
 
-def collision_step(
-    state: PhaseState,
-    kernel: CollisionKernel,
-    dt: float,
-    stages: int = 1,
-) -> PhaseState:
-    """Explicit collision substep: forward Euler, or Heun for stages=2.
+def collision_step(state: PhaseState, plan: StepPlan, stages: int = 1) -> PhaseState:
+    """Explicit collision substep of plan.dt: forward Euler, or Heun for stages=2.
 
     Heun is the midpoint-free convex combination of two Euler stages, so
     it inherits the Euler bound preservation while restoring second
     order inside the symmetric splitting.
     """
-    ceiling = kernel.dt_ceiling
-    if dt > ceiling * (1.0 + 1e-9):
-        raise ValueError(
-            f"collision step dt={dt:.6g} exceeds the monotonicity ceiling "
-            f"{ceiling:.6g}"
-        )
-    f = state.f
-    if stages == 1:
-        f_new = f + dt * apply_collision(f, kernel, state.vgrid)
-    elif stages == 2:
-        stage = f + dt * apply_collision(f, kernel, state.vgrid)
-        f_new = 0.5 * f + 0.5 * (stage + dt * apply_collision(stage, kernel, state.vgrid))
-    else:
+    f, dt, kernel = state.f, plan.dt, plan.kernel
+    if stages not in (1, 2):
         raise ValueError("stages must be 1 or 2")
+    f_new = apply_collision(f, kernel, state.vgrid)
+    f_new *= dt
+    f_new += f
+    if stages == 2:
+        stage = f_new
+        f_new = apply_collision(stage, kernel, state.vgrid)
+        f_new *= dt
+        f_new += stage
+        f_new *= 0.5
+        np.multiply(f, 0.5, out=stage)  # the Euler stage is spent: reuse it
+        f_new += stage
     fmin, fmax = float(f_new.min()), float(f_new.max())
     if fmin < 0.0 or fmax > 1.0:
         raise RuntimeError(
@@ -228,23 +288,21 @@ def collision_step(
     )
 
 
-def step(state: PhaseState, kernel: CollisionKernel, dt: float,
-         scheme: SchemeConfig,
+def step(state: PhaseState, plan: StepPlan,
          check: Callable[[PhaseState], None] | None = None) -> PhaseState:
-    """One full splitting step of size dt.
+    """One full splitting step of size plan.dt.
 
     `check`, when given, is called on the new state before it is
     returned; it raises to abort the run at this step.
     """
-    if scheme.splitting == "lie":
-        out = transport_step(state, dt, scheme)
-        out = collision_step(out, kernel, dt, stages=1)
+    if plan.splitting == "lie":
+        out = transport_step(state, plan)
+        out = collision_step(out, plan)
     else:
-        half = 0.5 * dt
-        out = transport_step(state, half, scheme, stages=2)
-        out = collision_step(out, kernel, dt, stages=2)
-        out = transport_step(out, half, scheme, stages=2)
-    out.time = state.time + dt
+        out = transport_step(state, plan, stages=2)
+        out = collision_step(out, plan, stages=2)
+        out = transport_step(out, plan, stages=2)
+    out.time = state.time + plan.dt
     if check is not None:
         check(out)
     return out

@@ -26,6 +26,7 @@ from .evolution import (
     SchemeConfig,
     cfl_max_dt,
     initial_state,
+    plan_step,
     step,
 )
 from .fields import (
@@ -181,17 +182,10 @@ def _check_sandwich(step_index: int, f: np.ndarray, init: InitialData) -> None:
         )
 
 
-def _check_invariants(
-    step_index: int,
-    state: PhaseState,
-    record: DiagnosticsRecord,
-    mass0: float,
-    init: InitialData,
-) -> None:
+def _check_record(step_index: int, record: DiagnosticsRecord, mass0: float) -> None:
     _check_mass(step_index, record.mass, mass0)
     if record.D < DISSIPATION_FLOOR:
         raise InvariantViolation(step_index, "dissipation", f"D = {record.D:.3e}")
-    _check_sandwich(step_index, state.f, init)
 
 
 def choose_delta(
@@ -283,7 +277,9 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
         splitting=config.splitting,
     )
     dt = config.dt if config.dt is not None else cfl_max_dt(init.state, kernel, draft)
-    scheme = replace(draft, dt=dt)
+    # refuses a pinned dt over the Courant limit or the collision ceiling
+    # before any output is written
+    plan = plan_step(kernel, vgrid, sgrid, replace(draft, dt=dt))
 
     rho0, _ = moments(init.state.f, vgrid)
     mass0 = float(np.sum(rho0)) * sgrid.spacing
@@ -309,7 +305,10 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     def on_record(step_index: int, state: PhaseState) -> None:
         prev = records[-1] if records else None
         record = _diagnose(state, kernel, eq, prev)
-        _check_invariants(step_index, state, record, mass0, init)
+        _check_record(step_index, record, mass0)
+        if step_index == 0:
+            # every later state has passed `check_step` inside `step`
+            _check_sandwich(step_index, state.f, init)
         if delta is not None:
             record = _couple(record, delta)
             if writer is not None:
@@ -331,7 +330,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     try:
         on_record(0, state)
         for k in range(1, n_steps + 1):
-            state = step(state, kernel, dt, scheme, check=partial(check_step, k))
+            state = step(state, plan, check=partial(check_step, k))
             recorded = k % config.record_every == 0 or k == n_steps
             if recorded:
                 on_record(k, state)

@@ -292,6 +292,30 @@ def roll_transport(f, lam, transport_order, stages):
     return 0.5 * f + 0.5 * roll_advect_once(once, lam, transport_order)
 
 
+def seed_collision(f, kernel, vgrid, dt, stages):
+    """Collision substep as G * S f - f * S G, G = M (1 - f); Euler or Heun."""
+    def q(g):
+        gain = vgrid.maxwellian * (1.0 - g)
+        return gain * kernel.scatter(g) - g * kernel.scatter(gain)
+
+    stage = f + dt * q(f)
+    if stages == 1:
+        return stage
+    return 0.5 * f + 0.5 * (stage + dt * q(stage))
+
+
+def seed_step(f, kernel, vgrid, sgrid, dt, transport_order, splitting):
+    """One splitting step written out: Lie, or Strang with Heun substeps."""
+    if splitting == "lie":
+        lam = vgrid.first_axis * (dt / sgrid.spacing)
+        f = roll_transport(f, lam, transport_order, 1)
+        return seed_collision(f, kernel, vgrid, dt, 1)
+    lam = vgrid.first_axis * (0.5 * dt / sgrid.spacing)
+    f = roll_transport(f, lam, transport_order, 2)
+    f = seed_collision(f, kernel, vgrid, dt, 2)
+    return roll_transport(f, lam, transport_order, 2)
+
+
 def pilot_samples(result):
     """The (t, H, pairing, dist_total) arrays of a separate delta pilot pass.
 
@@ -299,7 +323,7 @@ def pilot_samples(result):
     state in a loop of its own, sampling on the record grid and at the
     window's last step; this is the two-pass form of `delta = auto`.
     """
-    from fermibolt.evolution import SchemeConfig, step
+    from fermibolt.evolution import SchemeConfig, plan_step, step
     from fermibolt.fields import FieldSet, moments, solve_poisson
     from fermibolt.functionals import field_current_pairing, relative_entropy, weighted_norm
 
@@ -312,6 +336,7 @@ def pilot_samples(result):
     )
     state = result.initial.state.copy()
     vg, sg = state.vgrid, state.sgrid
+    plan = plan_step(result.kernel, vg, sg, scheme)
     samples = []
 
     def collect(state):
@@ -328,7 +353,7 @@ def pilot_samples(result):
     n_steps = max(1, math.ceil(min(config.t_final, 5.0) / dt - 1e-12))
     collect(state)
     for k in range(1, n_steps + 1):
-        state = step(state, result.kernel, dt, scheme)
+        state = step(state, plan)
         if k % config.record_every == 0 or k == n_steps:
             collect(state)
     return tuple(np.array(column) for column in zip(*samples))

@@ -22,6 +22,7 @@ from fermibolt.evolution import (
     collision_dt_ceiling,
     collision_step,
     initial_state,
+    plan_step,
     step,
 )
 from fermibolt.fields import build_spatial_grid, moments, solve_poisson
@@ -68,10 +69,10 @@ def test_criterion_02_bound_preservation(default_run):
             sg, vg, kappa_bar, amplitude, perturbation=perturbation, seed=trial
         )
         dt = cfl_max_dt(data.state, kernel, draft)
-        scheme = replace(draft, dt=dt)
+        plan = plan_step(kernel, vg, sg, replace(draft, dt=dt))
         state = data.state
         for _ in range(3):
-            state = step(state, kernel, dt, scheme)
+            state = step(state, plan)
             f = state.f
             violations += int(np.sum(f < 0.0) + np.sum(f > 1.0))
             violations += int(np.sum(f < data.f_lower[None, :]))
@@ -110,7 +111,8 @@ def test_criterion_03_entropy_decay(default_run):
     for k in range(4):
         dt = dt0 / 2.0**k
         state = PhaseState(f=f0.copy(), time=0.0, vgrid=vg, sgrid=sg)
-        after = collision_step(state, kernel, dt, stages=1)
+        plan = plan_step(kernel, vg, sg, SchemeConfig(dt=dt))
+        after = collision_step(state, plan, stages=1)
         h1 = relative_entropy(after.f, eq.profile, vg, sg)
         defects.append(abs(h1 - h0 + dt * d0))
     orders = [math.log2(defects[k] / defects[k + 1]) for k in range(3)]

@@ -15,6 +15,7 @@ from fermibolt.evolution import (
     collision_dt_ceiling,
     collision_step,
     initial_state,
+    plan_step,
     step,
     transport_step,
 )
@@ -36,6 +37,19 @@ def sgrid():
 @pytest.fixture(scope="module")
 def kernel(vgrid):
     return build_kernel("constant", vgrid)
+
+
+def _transport_plan(vgrid, sgrid, dt, order="upwind1"):
+    """A Lie plan, so that one transport sub-step has length dt."""
+    scheme = SchemeConfig(dt=dt, transport_order=order, splitting="lie")
+    return plan_step(build_kernel("constant", vgrid), vgrid, sgrid, scheme)
+
+
+def _step_plan(kernel, state, dt=None, **scheme):
+    """The plan of a run at dt, by default the largest admissible one."""
+    if dt is None:
+        dt = cfl_max_dt(state, kernel, SchemeConfig(dt=1.0, **scheme))
+    return plan_step(kernel, state.vgrid, state.sgrid, SchemeConfig(dt=dt, **scheme))
 
 
 def _random_state(rng, sgrid, vgrid, kappa_lo=0.5, kappa_hi=2.0):
@@ -110,11 +124,10 @@ def test_transport_advects_step_profile(vgrid):
     x = sg.centers
     f[(x >= 0.3) & (x < 0.45), node] = 0.5
     state = PhaseState(f=f.copy(), time=0.0, vgrid=vgrid, sgrid=sg)
-    scheme = SchemeConfig(dt=1.0)
     n = round(1.0 / (0.9 * sg.spacing / float(np.max(np.abs(vgrid.first_axis)))))
-    dt = 1.0 / n
+    plan = _transport_plan(vgrid, sg, 1.0 / n)
     for _ in range(n):
-        state = transport_step(state, dt, scheme)
+        state = transport_step(state, plan)
     w = state.f[:, node]
     com0 = float(np.sum(x * f[:, node]) / np.sum(f[:, node]))
     com1 = float(np.sum(x * w) / np.sum(w))
@@ -130,7 +143,7 @@ def test_transport_preserves_uniform_states(sgrid, vgrid):
         for stages in (1, 2):
             state = PhaseState(f=f.copy(), time=0.0, vgrid=vgrid, sgrid=sgrid)
             dt = 0.4 * sgrid.spacing / float(np.max(np.abs(vgrid.first_axis)))
-            out = transport_step(state, dt, SchemeConfig(dt=dt, transport_order=order),
+            out = transport_step(state, _transport_plan(vgrid, sgrid, dt, order),
                                  stages=stages)
             assert np.array_equal(out.f, f)
 
@@ -144,8 +157,7 @@ def test_transport_matches_roll_oracle_bitwise(dim, stages, order):
     rng = np.random.default_rng(84)
     state = _random_state(rng, sg, vg)
     dt = 0.45 * sg.spacing / float(np.max(np.abs(vg.first_axis)))
-    out = transport_step(state, dt, SchemeConfig(dt=dt, transport_order=order),
-                         stages=stages)
+    out = transport_step(state, _transport_plan(vg, sg, dt, order), stages=stages)
     lam = vg.first_axis * (dt / sg.spacing)
     assert np.array_equal(out.f, bf.roll_transport(state.f, lam, order, stages))
 
@@ -157,35 +169,66 @@ def test_transport_conserves_mass(sgrid, vgrid):
     mass0 = float(np.sum(rho0))
     for order in ("upwind1", "muscl2"):
         dt = 0.4 * sgrid.spacing / float(np.max(np.abs(vgrid.first_axis)))
-        out = transport_step(state.copy(), dt, SchemeConfig(dt=dt, transport_order=order))
+        out = transport_step(state.copy(), _transport_plan(vgrid, sgrid, dt, order))
         rho1, _ = moments(out.f, vgrid)
         assert math.isclose(float(np.sum(rho1)), mass0, rel_tol=1e-13)
 
 
-def test_transport_rejects_cfl_violation(sgrid, vgrid):
-    rng = np.random.default_rng(83)
-    state = _random_state(rng, sgrid, vgrid)
+def test_transport_rejects_cfl_violation(sgrid, vgrid, kernel):
     vmax = float(np.max(np.abs(vgrid.first_axis)))
-    with pytest.raises(ValueError):
-        transport_step(state, 1.5 * sgrid.spacing / vmax, SchemeConfig(dt=1.0))
+    with pytest.raises(ValueError, match="CFL"):
+        plan_step(kernel, vgrid, sgrid,
+                  SchemeConfig(dt=1.5 * sgrid.spacing / vmax, splitting="lie"))
     # muscl2 halves the allowed Courant number
-    with pytest.raises(ValueError):
-        transport_step(
-            state,
-            0.8 * sgrid.spacing / vmax,
-            SchemeConfig(dt=1.0, transport_order="muscl2"),
+    with pytest.raises(ValueError, match="CFL"):
+        plan_step(
+            kernel,
+            vgrid,
+            sgrid,
+            SchemeConfig(dt=0.8 * sgrid.spacing / vmax, transport_order="muscl2",
+                         splitting="lie"),
         )
+    # Strang transports over dt / 2, so the same dt is admissible there
+    plan = plan_step(kernel, vgrid, sgrid, SchemeConfig(dt=1.5 * sgrid.spacing / vmax))
+    assert plan.transport_dt == 0.5 * plan.dt
+    assert float(np.max(plan.mu)) == pytest.approx(0.75, rel=1e-14)
 
 
-def test_collision_step_rejects_oversized_dt(sgrid, vgrid, kernel):
+def test_collision_step_rejects_oversized_dt(vgrid, kernel):
+    # four cells keep the Strang half-step Courant number below one at the ceiling
+    sg = build_spatial_grid(4)
     rng = np.random.default_rng(84)
-    state = _random_state(rng, sgrid, vgrid)
+    state = _random_state(rng, sg, vgrid)
     ceiling = collision_dt_ceiling(kernel, vgrid)
-    with pytest.raises(ValueError):
-        collision_step(state, kernel, 1.01 * ceiling)
-    out = collision_step(state, kernel, 0.99 * ceiling)
+    with pytest.raises(ValueError, match="monotonicity ceiling"):
+        plan_step(kernel, vgrid, sg, SchemeConfig(dt=1.01 * ceiling))
+    out = collision_step(state, plan_step(kernel, vgrid, sg, SchemeConfig(dt=0.99 * ceiling)))
     assert float(out.f.min()) >= 0.0
     assert float(out.f.max()) <= 1.0
+
+
+# (d_v, nodes per axis, kernel kind); custom_table is the saved d_v = 1 Gaussian table
+SEED_STEP_KERNELS = [(1, 64, "constant"), (2, 16, "gaussian_bump"), (1, 64, "custom_table")]
+
+
+@pytest.mark.parametrize("splitting", ["lie", "strang"])
+@pytest.mark.parametrize("order", ["upwind1", "muscl2"])
+@pytest.mark.parametrize("dim,n,kind", SEED_STEP_KERNELS,
+                         ids=[kind for _, _, kind in SEED_STEP_KERNELS])
+def test_step_matches_seed_oracle_bitwise(dim, n, kind, order, splitting, oracle_kernels):
+    if kind == "custom_table":
+        vg, kern, _ = oracle_kernels[dim, kind]
+    else:
+        vg = build_velocity_grid(dim, 8.0, n)
+        kern = build_kernel(kind, vg)
+    sg = build_spatial_grid(16)
+    state = _random_state(np.random.default_rng(91), sg, vg)
+    plan = _step_plan(kern, state, transport_order=order, splitting=splitting)
+    f = state.f.copy()
+    for _ in range(50):
+        state = step(state, plan)
+        f = bf.seed_step(f, kern, vg, sg, plan.dt, order, splitting)
+        assert np.array_equal(state.f, f)
 
 
 def test_collision_substep_orders(vgrid):
@@ -198,8 +241,9 @@ def test_collision_substep_orders(vgrid):
 
     def evolve(n, stages):
         s = PhaseState(f=f0.copy(), time=0.0, vgrid=vgrid, sgrid=sg)
+        plan = plan_step(kern, vgrid, sg, SchemeConfig(dt=0.04 / n))
         for _ in range(n):
-            s = collision_step(s, kern, 0.04 / n, stages=stages)
+            s = collision_step(s, plan, stages=stages)
         return s.f
 
     for stages, window in ((1, (0.8, 1.2)), (2, (1.8, 2.2))):
@@ -219,33 +263,29 @@ def test_step_reads_the_stored_collision_ceiling(sgrid, vgrid, monkeypatch):
     monkeypatch.setattr(collision, "collision_dt_ceiling", recomputed)
     monkeypatch.setattr(evolution, "collision_dt_ceiling", recomputed)
     init = initial_state(sgrid, vgrid, 1.0, 0.5)
-    dt = cfl_max_dt(init.state, kern, SchemeConfig(dt=1.0))
     for splitting in ("lie", "strang"):
-        step(init.state.copy(), kern, dt, SchemeConfig(dt=dt, splitting=splitting))
+        step(init.state.copy(), _step_plan(kern, init.state, splitting=splitting))
 
 
 def test_full_step_advances_time_exactly(sgrid, vgrid, kernel):
     rng = np.random.default_rng(86)
     state = _random_state(rng, sgrid, vgrid)
     state.time = 3.25
-    dt = cfl_max_dt(state, kernel, SchemeConfig(dt=1.0))
     for splitting in ("strang", "lie"):
-        out = step(state.copy(), kernel, dt, SchemeConfig(dt=dt, splitting=splitting))
-        assert out.time == 3.25 + dt
+        plan = _step_plan(kernel, state, splitting=splitting)
+        out = step(state.copy(), plan)
+        assert out.time == 3.25 + plan.dt
 
 
 def test_step_preserves_bounds_on_random_states(sgrid, vgrid, kernel):
     rng = np.random.default_rng(87)
-    dt = cfl_max_dt(
-        PhaseState(f=np.zeros((64, 64)), time=0.0, vgrid=vgrid, sgrid=sgrid),
-        kernel,
-        SchemeConfig(dt=1.0),
+    plan = _step_plan(
+        kernel, PhaseState(f=np.zeros((64, 64)), time=0.0, vgrid=vgrid, sgrid=sgrid)
     )
-    scheme = SchemeConfig(dt=dt)
     for _ in range(25):
         state = _random_state(rng, sgrid, vgrid, kappa_lo=0.1, kappa_hi=5.0)
         for _ in range(3):
-            state = step(state, kernel, dt, scheme)
+            state = step(state, plan)
         assert float(state.f.min()) >= 0.0
         assert float(state.f.max()) <= 1.0
 
@@ -264,11 +304,10 @@ def test_long_sandwich_preservation():
     f = lower[None, :] + u * (upper - lower)[None, :]
     f = np.clip(f, lower[None, :], upper[None, :])  # exactly on the barriers
     state = PhaseState(f=f, time=0.0, vgrid=vg, sgrid=sg)
-    dt = cfl_max_dt(state, kern, SchemeConfig(dt=1.0))
-    scheme = SchemeConfig(dt=dt)
+    plan = _step_plan(kern, state)
     violations = 0
     for _ in range(10_000):
-        state = step(state, kern, dt, scheme)
+        state = step(state, plan)
         if float(np.min(state.f - lower[None, :])) < 0.0:
             violations += 1
         if float(np.max(state.f - upper[None, :])) > 0.0:
@@ -279,14 +318,13 @@ def test_long_sandwich_preservation():
 def test_vanishing_kernel_reduces_to_transport(sgrid, vgrid):
     init = initial_state(sgrid, vgrid, 1.0, 0.5)
     weak = build_kernel("constant", vgrid, sigma0=1e-12)
-    dt = cfl_max_dt(init.state, kernel=weak, scheme=SchemeConfig(dt=1.0))
-    scheme = SchemeConfig(dt=dt)
+    plan = _step_plan(weak, init.state)
     full = init.state.copy()
     pure = init.state.copy()
     for _ in range(100):
-        full = step(full, weak, dt, scheme)
-        pure = transport_step(pure, 0.5 * dt, scheme, stages=2)
-        pure = transport_step(pure, 0.5 * dt, scheme, stages=2)
+        full = step(full, plan)
+        pure = transport_step(pure, plan, stages=2)
+        pure = transport_step(pure, plan, stages=2)
     assert float(np.max(np.abs(full.f - pure.f))) <= 1e-10
 
 
@@ -300,10 +338,10 @@ def test_splitting_self_convergence_orders(vgrid):
     dt0 = T / math.ceil(T / base)
 
     def run(dt, splitting):
-        scheme = SchemeConfig(dt=dt, splitting=splitting)
+        plan = _step_plan(kern, init.state, dt, splitting=splitting)
         s = init.state.copy()
         for _ in range(round(T / dt)):
-            s = step(s, kern, dt, scheme)
+            s = step(s, plan)
         return s.f
 
     orders = {}
@@ -327,9 +365,8 @@ def test_step_conserves_mass(sgrid, vgrid, kernel):
     state = _random_state(rng, sgrid, vgrid)
     rho0, _ = moments(state.f, vgrid)
     mass0 = float(np.sum(rho0))
-    dt = cfl_max_dt(state, kernel, SchemeConfig(dt=1.0))
     for splitting in ("strang", "lie"):
-        out = step(state.copy(), kernel, dt, SchemeConfig(dt=dt, splitting=splitting))
+        out = step(state.copy(), _step_plan(kernel, state, splitting=splitting))
         rho1, _ = moments(out.f, vgrid)
         assert math.isclose(float(np.sum(rho1)), mass0, rel_tol=1e-13)
 

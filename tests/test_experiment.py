@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fermibolt import cli, evolution, experiment
+from fermibolt.collision import build_kernel
 from fermibolt.config import (
     DELTA_CANDIDATES,
     ConfigError,
@@ -25,6 +26,7 @@ from fermibolt.experiment import (
 )
 from fermibolt.functionals import DiagnosticsRecord
 from fermibolt.storage import CsvWriter, load_csv
+from fermibolt.velocity import build_velocity_grid
 
 import _bruteforce as bf
 
@@ -297,6 +299,60 @@ def test_violation_between_records_aborts_at_its_step(quantity, monkeypatch, tmp
     records, warnings = load_csv(str(tmp_path / "diagnostics.csv"))
     assert warnings == 0 and len(records) == 1
     assert math.isnan(records[0].E) and math.isnan(records[0].ratio_c6)
+
+
+@pytest.mark.parametrize("splitting,transport_calls", [("strang", 2), ("lie", 1)])
+def test_run_builds_the_step_plan_once(splitting, transport_calls, monkeypatch):
+    calls = {"plan": 0, "transport": 0, "collision": 0, "sandwich": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiment, "plan_step", counted("plan", experiment.plan_step))
+    monkeypatch.setattr(evolution, "transport_step",
+                        counted("transport", evolution.transport_step))
+    monkeypatch.setattr(evolution, "collision_step",
+                        counted("collision", evolution.collision_step))
+    monkeypatch.setattr(experiment, "_check_sandwich",
+                        counted("sandwich", experiment._check_sandwich))
+    config = ExperimentConfig(
+        nodes_per_axis=8, spatial_cells=8, t_final=0.2, record_every=3,
+        splitting=splitting,
+    )
+    result = run_experiment(config)
+    n_steps = math.ceil(config.t_final / result.dt - 1e-12)
+    assert calls["plan"] == 1
+    assert calls["transport"] == transport_calls * n_steps
+    assert calls["collision"] == n_steps
+    # the sandwich is checked after every step and once more on the initial record
+    assert calls["sandwich"] == n_steps + 1
+
+
+@pytest.mark.parametrize("limit", ["courant", "ceiling"])
+def test_pinned_dt_over_the_limit_writes_nothing(limit, tmp_path):
+    config = ExperimentConfig(nodes_per_axis=16, spatial_cells=16, t_final=1.0)
+    vgrid = build_velocity_grid(config.d_v, config.half_width, config.nodes_per_axis)
+    if limit == "courant":
+        # Lie transports over the whole dt, which stays below the ceiling
+        vmax = float(np.max(np.abs(vgrid.first_axis)))
+        config = dataclasses.replace(
+            config, splitting="lie", dt=2.0 / (config.spatial_cells * vmax)
+        )
+        message = "CFL"
+    else:
+        # a hundred-fold kernel: the ceiling binds well below the Courant limit
+        config = dataclasses.replace(config, sigma0=100.0)
+        ceiling = build_kernel("constant", vgrid, sigma0=100.0).dt_ceiling
+        config = dataclasses.replace(config, dt=2.0 * ceiling)
+        message = "monotonicity ceiling"
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=message):
+        run_experiment(config, output_dir=str(out))
+    assert not (out / "diagnostics.csv").exists()
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ run behavior

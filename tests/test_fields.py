@@ -11,9 +11,10 @@ from fermibolt.fields import (
     moments,
     solve_poisson,
 )
+from fermibolt.collision import build_kernel
 from fermibolt.equilibrium import fermi_profile
 from fermibolt.functionals import weighted_norm
-from fermibolt.evolution import PhaseState, SchemeConfig, transport_step
+from fermibolt.evolution import PhaseState, SchemeConfig, plan_step, transport_step
 
 import _bruteforce as bf
 
@@ -159,8 +160,10 @@ def test_density_update_matches_face_flux(sgrid, vgrid):
     f = lower[None, :] + u * (upper - lower)[None, :]
     state = PhaseState(f=f.copy(), time=0.0, vgrid=vgrid, sgrid=sgrid)
     dt = 0.9 * sgrid.spacing / float(np.max(np.abs(vgrid.first_axis)))
-    scheme = SchemeConfig(dt=dt)
-    after = transport_step(state, dt, scheme, stages=1)
+    # a Lie plan transports over the whole dt
+    plan = plan_step(build_kernel("constant", vgrid), vgrid, sgrid,
+                     SchemeConfig(dt=dt, splitting="lie"))
+    after = transport_step(state, plan, stages=1)
     rho0, _ = moments(f, vgrid)
     rho1, _ = moments(after.f, vgrid)
     flux = bf.bf_upwind_face_flux(f, vgrid, sgrid)

@@ -20,7 +20,7 @@ from fermibolt.functionals import (
     tabulated_chi,
     weighted_norm,
 )
-from fermibolt.evolution import SchemeConfig, initial_state, step, cfl_max_dt
+from fermibolt.evolution import SchemeConfig, cfl_max_dt, initial_state, plan_step, step
 
 import _bruteforce as bf
 
@@ -141,11 +141,11 @@ def test_generalized_entropy_identity_choice_decays(vgrid):
     rho0, _ = moments(init.state.f, vgrid)
     eq = global_equilibrium(float(np.sum(rho0)) * sg.spacing, 1.0, vgrid)
     dt = cfl_max_dt(init.state, kernel, SchemeConfig(dt=1.0))
-    scheme = SchemeConfig(dt=dt)
+    plan = plan_step(kernel, vgrid, sg, SchemeConfig(dt=dt))
     state = init.state.copy()
     values = [generalized_entropy(state.f, eq.profile, vgrid, sg, identity_chi)]
     for _ in range(20):
-        state = step(state, kernel, dt, scheme)
+        state = step(state, plan)
         values.append(generalized_entropy(state.f, eq.profile, vgrid, sg, identity_chi))
     slack = 1e-10 * abs(values[0])
     assert all(b <= a + slack for a, b in zip(values, values[1:]))

@@ -7,7 +7,7 @@ from fermibolt.velocity import build_velocity_grid
 from fermibolt.fields import build_spatial_grid
 from fermibolt.collision import build_kernel
 from fermibolt.equilibrium import fermi_profile
-from fermibolt.evolution import PhaseState, SchemeConfig, cfl_max_dt, step
+from fermibolt.evolution import PhaseState, SchemeConfig, cfl_max_dt, plan_step, step
 from fermibolt.functionals import RECORD_FIELDS, DiagnosticsRecord
 from fermibolt.storage import (
     CsvWriter,
@@ -164,20 +164,20 @@ def test_restart_is_bitwise(tmp_path):
     f = lower[None, :] + rng.uniform(0.0, 1.0, (16, 16)) * (upper - lower)[None, :]
     state = PhaseState(f=f.copy(), time=0.0, vgrid=vg, sgrid=sg)
     dt = cfl_max_dt(state, kernel, SchemeConfig(dt=1.0))
-    scheme = SchemeConfig(dt=dt)
+    plan = plan_step(kernel, vg, sg, SchemeConfig(dt=dt))
 
     straight = state.copy()
     for _ in range(60):
-        straight = step(straight, kernel, dt, scheme)
+        straight = step(straight, plan)
 
     first_half = state.copy()
     for _ in range(30):
-        first_half = step(first_half, kernel, dt, scheme)
+        first_half = step(first_half, plan)
     path = tmp_path / "mid.snap"
     snapshot_dump(first_half, str(path))
     resumed = snapshot_load(str(path), vgrid=vg, sgrid=sg)
     for _ in range(30):
-        resumed = step(resumed, kernel, dt, scheme)
+        resumed = step(resumed, plan)
 
     assert np.array_equal(resumed.f, straight.f)
     assert resumed.time == straight.time
