@@ -33,8 +33,6 @@ _EXPORTS = {
     "collision_dt_ceiling": ".collision",
     "load_kernel_table": ".collision",
     "save_kernel_table": ".collision",
-    "collision_norm_probe": ".collision",
-    "NormProbeResult": ".collision",
     # spatial fields
     "SpatialGrid": ".fields",
     "build_spatial_grid": ".fields",
@@ -49,7 +47,6 @@ _EXPORTS = {
     "generalized_entropy": ".functionals",
     "dissipation": ".functionals",
     "field_current_pairing": ".functionals",
-    "lyapunov_functional": ".functionals",
     "log_ratio_chi": ".functionals",
     "identity_chi": ".functionals",
     "tabulated_chi": ".functionals",

@@ -80,13 +80,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    from .config import load_config
+    from .config import ConfigError, load_config
     from .experiment import run_experiment
 
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    result = run_experiment(config, output_dir=args.output_dir)
+    try:
+        config = load_config(args.config)
+        if args.seed is not None:
+            config.seed = args.seed
+        result = run_experiment(config, output_dir=args.output_dir)
+    except ConfigError as exc:
+        # a bad config file, or a pinned dt over a step-size limit
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 2
     last = result.records[-1]
     print(f"steps completed: t = {last.t:.6g} with {len(result.records)} records")
     print(f"mass = {last.mass:.12g} (initial {result.records[0].mass:.12g})")

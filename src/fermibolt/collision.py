@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
-from .equilibrium import project
 from .velocity import VelocityGrid, integrate
 
 __all__ = [
@@ -34,8 +32,6 @@ __all__ = [
     "save_kernel_table",
     "apply_collision",
     "collision_dt_ceiling",
-    "collision_norm_probe",
-    "NormProbeResult",
 ]
 
 KERNEL_KINDS = ("constant", "gaussian_bump", "custom_table")
@@ -71,7 +67,7 @@ class CollisionKernel:
         """
         if self.table is not None:
             return self.node_weight * np.einsum("ij,...j->...i", self.table, g)
-        flat = (self.node_weight * self.level) * np.sum(g, axis=-1, keepdims=True)
+        flat = (self.node_weight * self.level) * np.add.reduce(g, axis=-1, keepdims=True)
         if self.bump is None:
             return flat
         if self.dim == 1:
@@ -215,40 +211,3 @@ def apply_collision(f: np.ndarray, kernel: CollisionKernel,
     q *= kernel.scatter(f)
     q -= f * scattered_gain
     return q[0] if single else q
-
-
-class NormProbeResult(NamedTuple):
-    value: float
-    skipped: int
-    degenerate: bool
-
-
-def collision_norm_probe(samples, kernel: CollisionKernel, grid: VelocityGrid,
-                         spacing: float = 1.0,
-                         floor: float = 1e-12) -> NormProbeResult:
-    """Empirical bound ||Q(f)|| / ||f - Pf|| over a batch of states.
-
-    Both norms carry the 1/M weight. Samples whose distance to the local
-    equilibrium falls below `floor` are skipped; if everything is
-    skipped the probe is degenerate and reports 0.
-    """
-    inv_m = 1.0 / grid.maxwellian
-    best = 0.0
-    skipped = 0
-    seen = 0
-    for sample in samples:
-        f = np.asarray(getattr(sample, "f", sample), dtype=float)
-        if f.ndim == 1:
-            f = f[None, :]
-        seen += 1
-        proj, _ = project(f, grid)
-        dev = f - proj
-        dist = np.sqrt(np.sum(dev * dev * inv_m * grid.weights) * spacing)
-        if dist <= floor:
-            skipped += 1
-            continue
-        q = apply_collision(f, kernel, grid)
-        q_norm = np.sqrt(np.sum(q * q * inv_m * grid.weights) * spacing)
-        best = max(best, q_norm / dist)
-    degenerate = seen > 0 and skipped == seen
-    return NormProbeResult(value=best, skipped=skipped, degenerate=degenerate)

@@ -54,14 +54,6 @@ def density_of_kappa(kappa, grid: VelocityGrid):
     return integrate(fermi_profile(kappa, grid), grid)
 
 
-def _density_and_slope(kappa: np.ndarray, grid: VelocityGrid):
-    m = grid.maxwellian
-    denom = 1.0 + kappa[:, None] * m
-    dens = np.sum((kappa[:, None] * m / denom) * grid.weights, axis=-1)
-    slope = np.sum((m / (denom * denom)) * grid.weights, axis=-1)
-    return dens, slope
-
-
 def solve_kappa_many(
     targets: np.ndarray,
     grid: VelocityGrid,
@@ -75,44 +67,57 @@ def solve_kappa_many(
     warm start (previous kappa field), otherwise the small-kappa linear
     estimate target / int(M) seeds the iteration.
     """
+    return _newton(targets, grid, rel_tol, initial)[0]
+
+
+def _newton(targets, grid: VelocityGrid, rel_tol: float, initial):
+    """`solve_kappa_many`, plus the profile of its final, converged evaluation."""
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 1:
         raise ValueError("targets must be a 1-d array of cell densities")
-    saturation = float(np.sum(grid.weights))
-    if np.any(targets <= 0.0):
+    saturation = float(np.add.reduce(grid.weights))
+    if (targets <= 0.0).any():
         raise ValueError("target density must be positive")
-    if np.any(targets >= saturation * (1.0 - 1e-12)):
+    if (targets >= saturation * (1.0 - 1e-12)).any():
         raise SaturationError(
             f"target density reaches the Pauli saturation {saturation:g} "
             "of the truncated lattice"
         )
 
-    m0 = float(integrate(grid.maxwellian, grid))
     if initial is not None:
-        kappa = np.clip(np.asarray(initial, dtype=float).copy(), 1e-300, None)
+        kappa = np.maximum(np.asarray(initial, dtype=float), 1e-300)  # a new array
         if kappa.shape != targets.shape:
             raise ValueError("warm-start array must match the target shape")
     else:
-        kappa = targets / m0
+        kappa = targets / float(integrate(grid.maxwellian, grid))
 
+    m, w = grid.maxwellian, grid.weights
+    tol = rel_tol * targets
     lo = np.zeros_like(targets)          # density(0) = 0 < target always
     hi = np.full_like(targets, np.inf)
     for _ in range(MAX_NEWTON_ITER):
-        dens, slope = _density_and_slope(kappa, grid)
-        resid = dens - targets
-        done = np.abs(resid) <= rel_tol * targets
-        if np.all(done):
-            return kappa
+        profile = kappa[:, None] * m
+        denom = 1.0 + profile
+        profile /= denom                 # kappa M / (1 + kappa M)
+        resid = np.add.reduce(profile * w, axis=-1) - targets
+        done = np.abs(resid) <= tol
+        if done.all():
+            return kappa, profile
+        slope = np.add.reduce(m / (denom * denom) * w, axis=-1)
         below = resid < 0.0
-        lo = np.where(below, np.maximum(lo, kappa), lo)
-        hi = np.where(~below, np.minimum(hi, kappa), hi)
-        step = np.where(slope > 0.0, resid / np.where(slope > 0.0, slope, 1.0), np.nan)
+        np.maximum(lo, kappa, out=lo, where=below)
+        np.minimum(hi, kappa, out=hi, where=~below)
+        step = np.divide(resid, slope, out=np.full_like(resid, np.nan), where=slope > 0.0)
         trial = kappa - step
-        inside = np.isfinite(trial) & (trial > lo) & (trial < hi)
-        # Bisect where Newton leaves the bracket; double upward while the
-        # upper end is still unknown.
-        fallback = np.where(np.isinf(hi), 2.0 * np.maximum(kappa, 1.0), 0.5 * (lo + hi))
-        kappa = np.where(done, kappa, np.where(inside, trial, fallback))
+        # a nan or infinite trial fails both comparisons
+        keep = done | ((trial > lo) & (trial < hi))
+        np.copyto(trial, kappa, where=done)
+        if not keep.all():
+            # Bisect where Newton leaves the bracket; double upward while the
+            # upper end is still unknown.
+            fallback = np.where(np.isinf(hi), 2.0 * np.maximum(kappa, 1.0), 0.5 * (lo + hi))
+            np.copyto(trial, fallback, where=~keep)
+        kappa = trial
     raise RuntimeError(
         f"kappa iteration failed to reach rel_tol={rel_tol:g} "
         f"in {MAX_NEWTON_ITER} steps"
@@ -156,16 +161,20 @@ def project(
     grid: VelocityGrid,
     rel_tol: float = 1e-12,
     kappa_cache: np.ndarray | None = None,
+    rho: np.ndarray | None = None,
 ):
     """Cell-by-cell Fermi-Dirac profile with the same density as f.
 
     Returns (profile_field, kappa) with profile_field shaped like f and
     kappa one value per cell. The projection only matches the density;
     odd velocity moments of the output vanish by lattice symmetry.
+    `rho`, when given, is the density of f that `moments` computed; the
+    profile is the one the converged Newton evaluation built.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[1] != grid.n_nodes:
         raise ValueError("expected f shaped (cells, velocity nodes)")
-    rho = integrate(f, grid)
-    kappa = solve_kappa_many(rho, grid, rel_tol=rel_tol, initial=kappa_cache)
-    return fermi_profile(kappa, grid), kappa
+    if rho is None:
+        rho = integrate(f, grid)
+    kappa, profile = _newton(rho, grid, rel_tol, kappa_cache)
+    return profile, kappa

@@ -13,9 +13,9 @@ A run builds one `StepPlan` with `plan_step` before it steps (and
 before it writes anything). The plan checks the step size once: the
 Courant number of the transport sub-step (dt / 2 under Strang, dt under
 Lie) against the limit of the transport order, and dt against the
-collision ceiling; either failure raises ValueError. It also holds the
-per-node Courant numbers and the signed MUSCL coefficient, so no
-sub-step rebuilds them. What still runs on every sub-step is what
+collision ceiling; either failure raises `ConfigError` (a ValueError)
+naming the largest admissible dt. It also holds the per-node Courant
+numbers and the signed MUSCL coefficient, so no sub-step rebuilds them. What still runs on every sub-step is what
 depends on the state: `apply_collision` refuses input outside [0, 1],
 and each collision sub-step checks that its result stays in [0, 1].
 The run's own mass and sandwich checks come in through `step`'s
@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .collision import CollisionKernel, apply_collision, collision_dt_ceiling
+from .config import ConfigError
 from .equilibrium import fermi_profile
 from .fields import SpatialGrid
 from .velocity import VelocityGrid
@@ -142,7 +143,14 @@ def initial_state(
 
 def cfl_max_dt(state: PhaseState, kernel: CollisionKernel,
                scheme: SchemeConfig) -> float:
-    """Largest admissible dt: transport Courant limit vs collision ceiling."""
+    """The `dt = auto` step: cfl_safety * min(full-step Courant limit, ceiling).
+
+    The Courant limit is taken for a transport sub-step of the whole dt,
+    whatever the splitting. Under Strang the sub-step is dt / 2, so the
+    auto dt transports at cfl_safety / 2 times the limit (Courant number
+    0.45 for the defaults): where transport binds, it is about half the
+    largest dt that `plan_step` admits.
+    """
     vmax = float(np.max(np.abs(state.vgrid.first_axis)))
     transport_limit = _COURANT[scheme.transport_order] * state.sgrid.spacing / vmax
     return scheme.cfl_safety * min(transport_limit, kernel.dt_ceiling)
@@ -175,22 +183,25 @@ def plan_step(kernel: CollisionKernel, vgrid: VelocityGrid, sgrid: SpatialGrid,
               scheme: SchemeConfig) -> StepPlan:
     """Check scheme.dt against the Courant limit and the collision ceiling.
 
-    Raises ValueError when either fails; a plan that is returned keeps
-    every transport update monotone and every collision update convex.
+    Raises ConfigError (a ValueError) naming the limit and the largest
+    admissible dt when either fails; a plan that is returned keeps every
+    transport update monotone and every collision update convex.
     """
     transport_dt = 0.5 * scheme.dt if scheme.splitting == "strang" else scheme.dt
     lam = vgrid.first_axis * (transport_dt / sgrid.spacing)
     courant = float(np.max(np.abs(lam)))
-    if courant > _COURANT[scheme.transport_order] * (1.0 + 1e-12):
-        raise ValueError(
-            f"transport step violates the CFL condition: Courant number "
-            f"{courant:.6g} exceeds {_COURANT[scheme.transport_order]:g}"
-        )
+    limit = _COURANT[scheme.transport_order]
     ceiling = kernel.dt_ceiling
+    largest = f"the largest admissible dt is {min(scheme.dt * limit / courant, ceiling):.6g}"
+    if courant > limit * (1.0 + 1e-12):
+        raise ConfigError(
+            f"transport step violates the CFL condition: Courant number "
+            f"{courant:.6g} exceeds {limit:g}; {largest}"
+        )
     if scheme.dt > ceiling * (1.0 + 1e-9):
-        raise ValueError(
+        raise ConfigError(
             f"collision step dt={scheme.dt:.6g} exceeds the monotonicity ceiling "
-            f"{ceiling:.6g}"
+            f"{ceiling:.6g}; {largest}"
         )
     mu = np.abs(lam)
     muscl = None

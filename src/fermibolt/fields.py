@@ -9,6 +9,7 @@ Fourier one with the zero mode pinned to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,29 +62,35 @@ def moments(f: np.ndarray, vgrid: VelocityGrid) -> tuple[np.ndarray, np.ndarray]
     """Density and current per spatial cell."""
     f = np.asarray(f)
     rho = integrate(f, vgrid)
-    j = np.stack(
-        [integrate(f * vgrid.nodes[:, a], vgrid) for a in range(vgrid.dim)],
-        axis=-1,
-    )
+    # one quadrature for all components; contiguous node rows keep each one
+    # bitwise equal to its own `integrate` call
+    j = integrate(f[..., None, :] * np.ascontiguousarray(vgrid.nodes.T), vgrid)
     return rho, j
 
 
 def centered_gradient(u: np.ndarray, sgrid: SpatialGrid) -> np.ndarray:
-    return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * sgrid.spacing)
+    out = np.empty_like(u)  # u[x+1] - u[x-1], periodic
+    np.subtract(u[2:], u[:-2], out=out[1:-1])
+    out[0], out[-1] = u[1] - u[-1], u[0] - u[-2]
+    out /= 2.0 * sgrid.spacing
+    return out
 
 
 def laplacian(u: np.ndarray, sgrid: SpatialGrid) -> np.ndarray:
     return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / sgrid.spacing**2
 
 
+@lru_cache(maxsize=8)
+def _laplacian_eigenvalues(sgrid: SpatialGrid) -> np.ndarray:
+    k = np.arange(sgrid.cells // 2 + 1)
+    return (4.0 / sgrid.spacing**2) * np.sin(np.pi * k / sgrid.cells) ** 2
+
+
 def _poisson_fft(source: np.ndarray, sgrid: SpatialGrid) -> np.ndarray:
-    n = sgrid.cells
     src_hat = np.fft.rfft(source)
-    k = np.arange(src_hat.shape[0])
-    eig = (4.0 / sgrid.spacing**2) * np.sin(np.pi * k / n) ** 2
     phi_hat = np.zeros_like(src_hat)
-    phi_hat[1:] = src_hat[1:] / eig[1:]
-    return np.fft.irfft(phi_hat, n=n)
+    phi_hat[1:] = src_hat[1:] / _laplacian_eigenvalues(sgrid)[1:]
+    return np.fft.irfft(phi_hat, n=sgrid.cells)
 
 
 def solve_poisson(
@@ -98,7 +105,7 @@ def solve_poisson(
     """
     rho = np.asarray(rho, dtype=float)
     source = rho - rho_inf
-    mean = float(np.sum(source)) / sgrid.cells
+    mean = float(np.add.reduce(source)) / sgrid.cells
     if abs(mean) > 1e-10:
         raise ValueError(
             f"Poisson source must have zero mean, got {mean:.3e}"

@@ -105,5 +105,5 @@ def integrate(values: np.ndarray, grid: VelocityGrid) -> np.ndarray | float:
     terms = values * grid.weights
     half = grid.n_nodes // 2
     folded = terms[..., :half] + terms[..., ::-1][..., :half]
-    out = np.sum(folded, axis=-1)
+    out = np.add.reduce(folded, axis=-1)
     return float(out) if out.ndim == 0 else out

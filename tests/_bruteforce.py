@@ -5,6 +5,7 @@ formulas, with none of the vectorization, folding, or chunking tricks of
 the package proper, so agreement between the two is meaningful. Only
 usable at tiny lattice sizes.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -357,3 +358,233 @@ def pilot_samples(result):
         if k % config.record_every == 0 or k == n_steps:
             collect(state)
     return tuple(np.array(column) for column in zip(*samples))
+
+
+# Public helpers that no run path used, kept here as oracles: the run
+# forms E in `experiment._couple`, and the audit's `c2_max_ratio` is the
+# probe's ratio over the audited states.
+
+
+def lyapunov_functional(f, eq_profile, fields, delta, vgrid, sgrid):
+    """Relative entropy plus delta times the field-current pairing."""
+    from fermibolt.functionals import field_current_pairing, relative_entropy
+
+    return relative_entropy(f, eq_profile, vgrid, sgrid) + delta * field_current_pairing(
+        fields, sgrid
+    )
+
+
+def collision_norm_probe(samples, kernel, grid, spacing=1.0, floor=1e-12):
+    """Empirical bound ||Q(f)|| / ||f - Pf|| over a batch of states.
+
+    Both norms carry the 1/M weight. Samples whose distance to the local
+    equilibrium falls below `floor` are skipped; if everything is
+    skipped the probe is degenerate and reports 0. Returns
+    (value, skipped, degenerate).
+    """
+    from fermibolt.collision import apply_collision
+    from fermibolt.equilibrium import project
+
+    inv_m = 1.0 / grid.maxwellian
+    best = 0.0
+    skipped = 0
+    seen = 0
+    for sample in samples:
+        f = np.asarray(getattr(sample, "f", sample), dtype=float)
+        if f.ndim == 1:
+            f = f[None, :]
+        seen += 1
+        proj, _ = project(f, grid)
+        dev = f - proj
+        dist = np.sqrt(np.sum(dev * dev * inv_m * grid.weights) * spacing)
+        if dist <= floor:
+            skipped += 1
+            continue
+        q = apply_collision(f, kernel, grid)
+        q_norm = np.sqrt(np.sum(q * q * inv_m * grid.weights) * spacing)
+        best = max(best, q_norm / dist)
+    return best, skipped, seen > 0 and skipped == seen
+
+
+# The record pass as it was before `experiment.observe`: every quantity
+# in the form of its own function, the projection rebuilt by
+# `fermi_profile`, the gradient by `np.roll`, and `_diagnose` writing the
+# new kappa into `state.kappa_cache`. The run must match it bit for bit.
+
+
+def seed_integrate(values, grid):
+    terms = np.asarray(values) * grid.weights
+    half = grid.n_nodes // 2
+    folded = terms[..., :half] + terms[..., ::-1][..., :half]
+    out = np.sum(folded, axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def seed_moments(f, vgrid):
+    rho = seed_integrate(f, vgrid)
+    j = np.stack(
+        [seed_integrate(f * vgrid.nodes[:, a], vgrid) for a in range(vgrid.dim)],
+        axis=-1,
+    )
+    return rho, j
+
+
+def seed_solve_poisson(rho, rho_inf, sgrid):
+    source = np.asarray(rho, dtype=float) - rho_inf
+    source = source - float(np.sum(source)) / sgrid.cells
+    n = sgrid.cells
+    src_hat = np.fft.rfft(source)
+    k = np.arange(src_hat.shape[0])
+    eig = (4.0 / sgrid.spacing**2) * np.sin(np.pi * k / n) ** 2
+    phi_hat = np.zeros_like(src_hat)
+    phi_hat[1:] = src_hat[1:] / eig[1:]
+    phi = np.fft.irfft(phi_hat, n=n)
+    return phi, (np.roll(phi, -1) - np.roll(phi, 1)) / (2.0 * sgrid.spacing)
+
+
+def seed_solve_kappa_many(targets, grid, rel_tol=1e-12, initial=None):
+    """Bracketed Newton for density -> kappa, one full pass per iteration."""
+    from fermibolt.equilibrium import MAX_NEWTON_ITER
+
+    targets = np.asarray(targets, dtype=float)
+    m0 = float(seed_integrate(grid.maxwellian, grid))
+    if initial is not None:
+        kappa = np.clip(np.asarray(initial, dtype=float).copy(), 1e-300, None)
+    else:
+        kappa = targets / m0
+    m = grid.maxwellian
+    lo = np.zeros_like(targets)
+    hi = np.full_like(targets, np.inf)
+    for _ in range(MAX_NEWTON_ITER):
+        denom = 1.0 + kappa[:, None] * m
+        dens = np.sum((kappa[:, None] * m / denom) * grid.weights, axis=-1)
+        slope = np.sum((m / (denom * denom)) * grid.weights, axis=-1)
+        resid = dens - targets
+        done = np.abs(resid) <= rel_tol * targets
+        if np.all(done):
+            return kappa
+        below = resid < 0.0
+        lo = np.where(below, np.maximum(lo, kappa), lo)
+        hi = np.where(~below, np.minimum(hi, kappa), hi)
+        step = np.where(slope > 0.0, resid / np.where(slope > 0.0, slope, 1.0), np.nan)
+        trial = kappa - step
+        inside = np.isfinite(trial) & (trial > lo) & (trial < hi)
+        fallback = np.where(np.isinf(hi), 2.0 * np.maximum(kappa, 1.0), 0.5 * (lo + hi))
+        kappa = np.where(done, kappa, np.where(inside, trial, fallback))
+    raise RuntimeError("kappa iteration did not converge")
+
+
+def seed_project(f, grid, kappa_cache=None):
+    from fermibolt.equilibrium import fermi_profile
+
+    kappa = seed_solve_kappa_many(seed_integrate(f, grid), grid, initial=kappa_cache)
+    return fermi_profile(kappa, grid), kappa
+
+
+def seed_weighted_norm(g, vgrid, sgrid):
+    total = np.sum(np.sum(g * g / vgrid.maxwellian * vgrid.weights, axis=-1))
+    return float(np.sqrt(total * sgrid.spacing))
+
+
+def seed_entropy(f, p, vgrid, sgrid):
+    s = f * np.log(f / p) + (1.0 - f) * np.log((1.0 - f) / (1.0 - p))
+    return float(np.sum(np.sum(s * vgrid.weights, axis=-1)) * sgrid.spacing)
+
+
+def seed_scatter(kernel, g):
+    if kernel.table is not None:
+        return kernel.node_weight * np.einsum("ij,...j->...i", kernel.table, g)
+    flat = (kernel.node_weight * kernel.level) * np.sum(g, axis=-1, keepdims=True)
+    if kernel.bump is None:
+        return flat
+    if kernel.dim == 1:
+        gauss = np.einsum("ij,...j->...i", kernel.bump, g)
+    else:
+        n = kernel.bump.shape[0]
+        rows = np.einsum("ac,...cd->...ad", kernel.bump, g.reshape(g.shape[:-1] + (n, n)))
+        gauss = np.einsum("...ad,bd->...ab", rows, kernel.bump).reshape(g.shape)
+    return flat + (0.5 * kernel.node_weight) * gauss
+
+
+def seed_dissipation(f, kernel, vgrid, sgrid):
+    a = vgrid.maxwellian * (1.0 - f)
+    ratio = f / a
+    centre = np.sum(f, axis=-1) / np.sum(a, axis=-1)
+    ratio_shift = ratio - centre[:, None]
+    chi_shift = np.log(ratio) - np.log(centre)[:, None]
+    bracket = chi_shift * seed_scatter(kernel, a) - seed_scatter(kernel, a * chi_shift)
+    per_node = a * ratio_shift * bracket
+    return float(np.sum(np.sum(per_node * vgrid.weights, axis=-1))) * sgrid.spacing
+
+
+def seed_diagnose(state, kernel, eq, prev):
+    """One record, E and ratio_c6 nan; sets state.kappa_cache as it did."""
+    from fermibolt.functionals import DiagnosticsRecord
+
+    vg, sg, f = state.vgrid, state.sgrid, state.f
+    rho, j = seed_moments(f, vg)
+    _, grad_phi = seed_solve_poisson(rho, eq.density, sg)
+    proj, kappa = seed_project(f, vg, kappa_cache=state.kappa_cache)
+    state.kappa_cache = kappa
+    dist_local = seed_weighted_norm(f - proj, vg, sg)
+    entropy = seed_entropy(f, eq.profile, vg, sg)
+    if prev is not None and dist_local > 0.0 and state.time > prev.t:
+        ratio_c1 = (prev.H - entropy) / (state.time - prev.t) / dist_local**2
+    else:
+        ratio_c1 = math.nan
+    return DiagnosticsRecord(
+        t=state.time,
+        mass=float(np.sum(rho)) * sg.spacing,
+        H=entropy,
+        E=math.nan,
+        D=seed_dissipation(f, kernel, vg, sg),
+        dist_total=seed_weighted_norm(f - eq.profile[None, :], vg, sg),
+        dist_local=dist_local,
+        dist_hydro=seed_weighted_norm(proj - eq.profile[None, :], vg, sg),
+        pairing=float(np.sum(grad_phi * j[:, 0]) * sg.spacing),
+        ratio_c1=ratio_c1,
+        ratio_c6=math.nan,
+        kappa_min=float(kappa.min()),
+        kappa_max=float(kappa.max()),
+    )
+
+
+def seed_couple(record, delta):
+    """E = H + delta * pairing and ratio_c6 = E / dist_total^2."""
+    lyapunov = record.H + delta * record.pairing
+    dist_total = record.dist_total
+    ratio_c6 = lyapunov / dist_total**2 if dist_total > 0.0 else math.nan
+    return dataclasses.replace(record, E=lyapunov, ratio_c6=ratio_c6)
+
+
+def seed_records(result):
+    """A run's records and record-step kappa fields, re-derived with `seed_diagnose`.
+
+    Re-steps the trajectory from the run's initial state, diagnoses on the
+    record grid and couples every record with the run's resolved delta.
+    """
+    from fermibolt.evolution import SchemeConfig, plan_step, step
+
+    config, dt = result.config, result.dt
+    scheme = SchemeConfig(
+        dt=dt,
+        cfl_safety=config.cfl_safety,
+        transport_order=config.transport,
+        splitting=config.splitting,
+    )
+    state = result.initial.state.copy()
+    plan = plan_step(result.kernel, state.vgrid, state.sgrid, scheme)
+    records, kappas = [], []
+
+    def record():
+        prev = records[-1] if records else None
+        records.append(seed_diagnose(state, result.kernel, result.equilibrium, prev))
+        kappas.append(state.kappa_cache)
+
+    n_steps = max(1, math.ceil(config.t_final / dt - 1e-12))
+    record()
+    for k in range(1, n_steps + 1):
+        state = step(state, plan)
+        if k % config.record_every == 0 or k == n_steps:
+            record()
+    return [seed_couple(r, config.delta) for r in records], kappas

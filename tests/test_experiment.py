@@ -17,6 +17,7 @@ from fermibolt.config import (
 )
 from fermibolt.experiment import (
     DIST_EPS,
+    SNAPSHOT_STRIDE,
     FitError,
     InvariantViolation,
     audit_proof_chain,
@@ -413,6 +414,21 @@ def test_audit_constants_on_tiny_run(tiny_run):
     assert constants["c5_max"] >= constants["c4_min"] > 0.0
     assert constants["step1_excess_max"] <= 1e-8
     assert constants["samples_used"] >= 1
+
+
+def test_audit_c2_is_the_norm_probe_ratio(tiny_run):
+    # the audit skips the first and the last record's state
+    n = len(tiny_run.records)
+    states = [state for i, state in enumerate(tiny_run.audit_states)
+              if SNAPSHOT_STRIDE * i not in (0, n - 1)]
+    sg = tiny_run.final_state.sgrid
+    value, _, degenerate = bf.collision_norm_probe(
+        states, tiny_run.kernel, tiny_run.final_state.vgrid, spacing=sg.spacing, floor=1e-9
+    )
+    assert not degenerate
+    assert tiny_run.rate_report.lemma_constants["c2_max_ratio"] == pytest.approx(
+        value, rel=1e-10
+    )
 
 
 # --------------------------------------------------------------- artifacts

@@ -15,12 +15,19 @@ from fermibolt.functionals import (
     generalized_entropy,
     identity_chi,
     log_ratio_chi,
-    lyapunov_functional,
     relative_entropy,
     tabulated_chi,
     weighted_norm,
 )
-from fermibolt.evolution import SchemeConfig, cfl_max_dt, initial_state, plan_step, step
+from fermibolt.evolution import (
+    PhaseState,
+    SchemeConfig,
+    cfl_max_dt,
+    initial_state,
+    plan_step,
+    step,
+)
+from fermibolt.experiment import _couple, _diagnose
 
 import _bruteforce as bf
 
@@ -267,11 +274,17 @@ def test_lyapunov_reduces_to_entropy(vgrid, sgrid):
     phi, grad = solve_poisson(rho, eq.density, sgrid)
     fields = FieldSet(rho=rho, j=j, phi=phi, grad_phi=grad)
     h = relative_entropy(f, eq.profile, vgrid, sgrid)
-    assert lyapunov_functional(f, eq.profile, fields, 0.0, vgrid, sgrid) == h
-    e = lyapunov_functional(f, eq.profile, fields, 0.01, vgrid, sgrid)
+    assert bf.lyapunov_functional(f, eq.profile, fields, 0.0, vgrid, sgrid) == h
+    e = bf.lyapunov_functional(f, eq.profile, fields, 0.01, vgrid, sgrid)
     assert math.isclose(
         e, h + 0.01 * field_current_pairing(fields, sgrid), rel_tol=1e-12
     )
+    # the run forms E in `_couple`, from the record's own H and pairing
+    state = PhaseState(f=f, time=0.0, vgrid=vgrid, sgrid=sgrid)
+    record, _ = _diagnose(state, build_kernel("constant", vgrid), eq, None)
+    for delta in (0.0, 0.01):
+        lyap = bf.lyapunov_functional(f, eq.profile, fields, delta, vgrid, sgrid)
+        assert _couple(record, delta).E == lyap
 
 
 def test_record_schema():
