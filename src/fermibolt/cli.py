@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta",
         type=float,
         default=math.nan,
-        help="coupling used when the CSV was produced (report label only)",
+        help="delta used when the CSV was produced (report label only)",
     )
 
     p_audit = sub.add_parser(

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import KERNELS
 from .velocity import VelocityGrid, integrate
 
 __all__ = [
@@ -33,9 +34,6 @@ __all__ = [
     "apply_collision",
     "collision_dt_ceiling",
 ]
-
-KERNEL_KINDS = ("constant", "gaussian_bump", "custom_table")
-
 
 @dataclass(frozen=True)
 class CollisionKernel:
@@ -132,33 +130,38 @@ def build_kernel(kind: str, grid: VelocityGrid, *, sigma0: float = 1.0,
         if table_path is None:
             raise ValueError("custom_table kernel needs a file path")
         return load_kernel_table(table_path, grid)
-    raise ValueError(f"unknown kernel kind {kind!r}; choose from {KERNEL_KINDS}")
+    raise ValueError(f"unknown kernel kind {kind!r}; choose from {KERNELS}")
 
 
 def load_kernel_table(path: str, grid: VelocityGrid) -> CollisionKernel:
-    """Plain-text table: a header line with N, then N rows of N values."""
+    """Plain-text table: a header line with N, then N rows of N values.
+
+    N is checked against the lattice before any value is parsed, so a
+    table for another lattice fails at once, not after N^2 floats.
+    """
     values: list[float] = []
-    n_declared = None
+    n = None
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if n_declared is None:
-                n_declared = int(line)
+            if n is None:
+                n = int(line)
+                if n != grid.n_nodes:
+                    raise ValueError(
+                        f"kernel table {path} declares N={n}, grid has "
+                        f"{grid.n_nodes} nodes"
+                    )
                 continue
             values.extend(float(tok) for tok in line.split())
-    if n_declared is None:
+    if n is None:
         raise ValueError(f"kernel table {path} has no header line")
-    if len(values) != n_declared * n_declared:
+    if len(values) != n * n:
         raise ValueError(
-            f"kernel table {path} declares N={n_declared} but holds "
-            f"{len(values)} values"
+            f"kernel table {path} declares N={n} but holds {len(values)} values"
         )
-    matrix = np.array(values).reshape(n_declared, n_declared)
-    n = grid.n_nodes
-    if matrix.shape != (n, n):
-        raise ValueError(f"kernel table is {matrix.shape}, grid has {n} nodes")
+    matrix = np.array(values).reshape(n, n)
     if not np.array_equal(matrix, matrix.T):
         raise ValueError("kernel table must be symmetric")
     lo = float(matrix.min())

@@ -3,7 +3,8 @@
 Every key has a default; unknown keys are rejected rather than ignored
 so a typo cannot silently fall back to a default. `dt = auto` defers
 the step size to the CFL logic and `delta = auto` lets the run's own
-first records choose the drift coupling.
+first records choose delta, the weight of the macroscopic corrector in
+the modified entropy E = H + delta * pairing.
 """
 from __future__ import annotations
 

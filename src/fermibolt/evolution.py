@@ -10,16 +10,17 @@ pair of lattice Fermi-Dirac barriers ordered around the state remains
 ordered, which is what preserves the kappa sandwich in time.
 
 A run builds one `StepPlan` with `plan_step` before it steps (and
-before it writes anything). The plan checks the step size once: the
-Courant number of the transport sub-step (dt / 2 under Strang, dt under
-Lie) against the limit of the transport order, and dt against the
-collision ceiling; either failure raises `ConfigError` (a ValueError)
-naming the largest admissible dt. It also holds the per-node Courant
-numbers and the signed MUSCL coefficient, so no sub-step rebuilds them. What still runs on every sub-step is what
-depends on the state: `apply_collision` refuses input outside [0, 1],
-and each collision sub-step checks that its result stays in [0, 1].
-The run's own mass and sandwich checks come in through `step`'s
-`check` callback.
+before it writes anything). `plan_step` is where `dt = auto` is
+decided, and where the step size is checked once: the Courant number of
+the transport sub-step (dt / 2 under Strang, dt under Lie) against the
+limit of the transport order, and dt against the collision ceiling;
+either failure raises `ConfigError` (a ValueError) naming the largest
+admissible dt. The plan also holds the per-node Courant numbers and the
+signed MUSCL coefficient, so no sub-step rebuilds them. What still runs
+on every sub-step is what depends on the state: `apply_collision`
+refuses input outside [0, 1], and each collision sub-step checks that
+its result stays in [0, 1]. The run's own mass and sandwich checks come
+in through `step`'s `check` callback.
 """
 from __future__ import annotations
 
@@ -28,19 +29,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collision import CollisionKernel, apply_collision, collision_dt_ceiling
-from .config import ConfigError
+from .collision import CollisionKernel, apply_collision
+from .config import ConfigError, ExperimentConfig
 from .equilibrium import fermi_profile
 from .fields import SpatialGrid
 from .velocity import VelocityGrid
 
 __all__ = [
     "PhaseState",
-    "SchemeConfig",
     "InitialData",
     "initial_state",
-    "cfl_max_dt",
-    "collision_dt_ceiling",
     "StepPlan",
     "plan_step",
     "transport_step",
@@ -48,8 +46,6 @@ __all__ = [
     "step",
 ]
 
-TRANSPORT_ORDERS = ("upwind1", "muscl2")
-SPLITTINGS = ("lie", "strang")
 _COURANT = {"upwind1": 1.0, "muscl2": 0.5}
 
 
@@ -66,26 +62,6 @@ class PhaseState:
     def copy(self) -> "PhaseState":
         cache = None if self.kappa_cache is None else self.kappa_cache.copy()
         return replace(self, f=self.f.copy(), kappa_cache=cache)
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Step-size policy and scheme switches."""
-
-    dt: float
-    cfl_safety: float = 0.9
-    transport_order: str = "upwind1"
-    splitting: str = "strang"
-
-    def __post_init__(self):
-        if not 0.0 < self.cfl_safety < 1.0:
-            raise ValueError(f"cfl_safety must lie in (0, 1), got {self.cfl_safety}")
-        if self.transport_order not in TRANSPORT_ORDERS:
-            raise ValueError(f"transport_order must be one of {TRANSPORT_ORDERS}")
-        if self.splitting not in SPLITTINGS:
-            raise ValueError(f"splitting must be one of {SPLITTINGS}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -141,21 +117,6 @@ def initial_state(
     )
 
 
-def cfl_max_dt(state: PhaseState, kernel: CollisionKernel,
-               scheme: SchemeConfig) -> float:
-    """The `dt = auto` step: cfl_safety * min(full-step Courant limit, ceiling).
-
-    The Courant limit is taken for a transport sub-step of the whole dt,
-    whatever the splitting. Under Strang the sub-step is dt / 2, so the
-    auto dt transports at cfl_safety / 2 times the limit (Courant number
-    0.45 for the defaults): where transport binds, it is about half the
-    largest dt that `plan_step` admits.
-    """
-    vmax = float(np.max(np.abs(state.vgrid.first_axis)))
-    transport_limit = _COURANT[scheme.transport_order] * state.sgrid.spacing / vmax
-    return scheme.cfl_safety * min(transport_limit, kernel.dt_ceiling)
-
-
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     same_sign = a * b > 0.0
     return np.where(same_sign, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
@@ -180,35 +141,47 @@ class StepPlan:
 
 
 def plan_step(kernel: CollisionKernel, vgrid: VelocityGrid, sgrid: SpatialGrid,
-              scheme: SchemeConfig) -> StepPlan:
-    """Check scheme.dt against the Courant limit and the collision ceiling.
+              config: ExperimentConfig) -> StepPlan:
+    """The step of one run: config.dt, or for `dt = auto` the largest safe one.
+
+    `dt = auto` is cfl_safety * min(full-step Courant limit, collision
+    ceiling). The Courant limit is taken for a transport sub-step of the
+    whole dt, whatever the splitting. Under Strang the sub-step is dt / 2,
+    so the auto dt transports at cfl_safety / 2 times the limit (Courant
+    number 0.45 for the defaults): where transport binds, it is about half
+    the largest dt that this check admits.
 
     Raises ConfigError (a ValueError) naming the limit and the largest
-    admissible dt when either fails; a plan that is returned keeps every
-    transport update monotone and every collision update convex.
+    admissible dt when a pinned dt fails either check; a plan that is
+    returned keeps every transport update monotone and every collision
+    update convex.
     """
-    transport_dt = 0.5 * scheme.dt if scheme.splitting == "strang" else scheme.dt
+    limit = _COURANT[config.transport]
+    ceiling = kernel.dt_ceiling
+    dt = config.dt
+    if dt is None:
+        vmax = float(np.max(np.abs(vgrid.first_axis)))
+        dt = config.cfl_safety * min(limit * sgrid.spacing / vmax, ceiling)
+    transport_dt = 0.5 * dt if config.splitting == "strang" else dt
     lam = vgrid.first_axis * (transport_dt / sgrid.spacing)
     courant = float(np.max(np.abs(lam)))
-    limit = _COURANT[scheme.transport_order]
-    ceiling = kernel.dt_ceiling
-    largest = f"the largest admissible dt is {min(scheme.dt * limit / courant, ceiling):.6g}"
+    largest = f"the largest admissible dt is {min(dt * limit / courant, ceiling):.6g}"
     if courant > limit * (1.0 + 1e-12):
         raise ConfigError(
             f"transport step violates the CFL condition: Courant number "
             f"{courant:.6g} exceeds {limit:g}; {largest}"
         )
-    if scheme.dt > ceiling * (1.0 + 1e-9):
+    if dt > ceiling * (1.0 + 1e-9):
         raise ConfigError(
-            f"collision step dt={scheme.dt:.6g} exceeds the monotonicity ceiling "
+            f"collision step dt={dt:.6g} exceeds the monotonicity ceiling "
             f"{ceiling:.6g}; {largest}"
         )
     mu = np.abs(lam)
     muscl = None
-    if scheme.transport_order == "muscl2":
+    if config.transport == "muscl2":
         muscl = 0.5 * mu * (1.0 - mu)
         muscl[: vgrid.n_nodes // 2] *= -1.0
-    return StepPlan(kernel, scheme.dt, scheme.splitting, transport_dt, mu, muscl)
+    return StepPlan(kernel, dt, config.splitting, transport_dt, mu, muscl)
 
 
 def _upwind_neighbour(a: np.ndarray) -> np.ndarray:

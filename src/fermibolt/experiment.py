@@ -26,8 +26,6 @@ from .equilibrium import EquilibriumProfile, global_equilibrium, project
 from .evolution import (
     InitialData,
     PhaseState,
-    SchemeConfig,
-    cfl_max_dt,
     initial_state,
     plan_step,
     step,
@@ -216,12 +214,12 @@ def choose_delta(
     dist_total: np.ndarray,
     candidates=DELTA_CANDIDATES,
 ) -> float:
-    """Pick the drift coupling from samples of the run's first time units.
+    """Pick delta, the corrector's weight, from samples of the run's first time units.
 
-    Among the candidate values for which the augmented functional stays
+    Among the candidate values for which the modified entropy stays
     equivalent to the squared distance (positive ratio throughout), take
     the one with the best worst-case decay ratio; ties go to the larger
-    coupling.
+    weight.
     """
     usable = dist_total > DIST_EPS
     if np.count_nonzero(usable) < 3:
@@ -291,16 +289,10 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
         perturbation=config.perturbation,
         seed=config.seed,
     )
-    draft = SchemeConfig(
-        dt=1.0,
-        cfl_safety=config.cfl_safety,
-        transport_order=config.transport,
-        splitting=config.splitting,
-    )
-    dt = config.dt if config.dt is not None else cfl_max_dt(init.state, kernel, draft)
-    # refuses a pinned dt over the Courant limit or the collision ceiling
-    # before any output is written
-    plan = plan_step(kernel, vgrid, sgrid, replace(draft, dt=dt))
+    # resolves `dt = auto`, and refuses a pinned dt over the Courant limit
+    # or the collision ceiling before any output is written
+    plan = plan_step(kernel, vgrid, sgrid, config)
+    dt = plan.dt
 
     rho0, _ = moments(init.state.f, vgrid)
     mass0 = float(np.sum(rho0)) * sgrid.spacing
@@ -461,7 +453,7 @@ def _density_rate(j1: np.ndarray, sgrid: SpatialGrid) -> np.ndarray:
 
     The current of a projected state vanishes exactly on the mirror
     lattice, so this rate sees only the fluctuation part of f, which is
-    what the drift-term bound is about.
+    what the bound on the corrector's time derivative is about.
     """
     return -centered_gradient(j1, sgrid)
 
@@ -555,7 +547,7 @@ def audit_proof_chain(
             out["c4_min"] = min(out["c4_min"], float(np.min(rr)))
             out["c5_max"] = max(out["c5_max"], float(np.max(rr)))
 
-        # drift term: instantaneous potential motion against the current
+        # corrector's time derivative: the potential's motion against the current
         rate = _density_rate(j[:, 0], sg)
         _, dgrad_dt = solve_poisson(rate, 0.0, sg)
         s1 = float(np.sum(dgrad_dt * j[:, 0])) * sg.spacing

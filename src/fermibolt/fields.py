@@ -22,7 +22,6 @@ __all__ = [
     "moments",
     "solve_poisson",
     "centered_gradient",
-    "laplacian",
 ]
 
 
@@ -30,7 +29,6 @@ __all__ = [
 class SpatialGrid:
     """Uniform cells on the unit torus (1-d)."""
 
-    dim: int
     cells: int
     spacing: float
     volume: float
@@ -40,12 +38,10 @@ class SpatialGrid:
         return (np.arange(self.cells) + 0.5) * self.spacing
 
 
-def build_spatial_grid(cells: int, dim: int = 1) -> SpatialGrid:
-    if dim != 1:
-        raise ValueError("only 1-d space is supported")
+def build_spatial_grid(cells: int) -> SpatialGrid:
     if cells < 4:
         raise ValueError(f"need at least 4 spatial cells, got {cells}")
-    return SpatialGrid(dim=1, cells=int(cells), spacing=1.0 / cells, volume=1.0)
+    return SpatialGrid(cells=int(cells), spacing=1.0 / cells, volume=1.0)
 
 
 @dataclass(frozen=True)
@@ -74,10 +70,6 @@ def centered_gradient(u: np.ndarray, sgrid: SpatialGrid) -> np.ndarray:
     out[0], out[-1] = u[1] - u[-1], u[0] - u[-2]
     out /= 2.0 * sgrid.spacing
     return out
-
-
-def laplacian(u: np.ndarray, sgrid: SpatialGrid) -> np.ndarray:
-    return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / sgrid.spacing**2
 
 
 @lru_cache(maxsize=8)

@@ -20,7 +20,6 @@ from .velocity import build_velocity_grid
 __all__ = [
     "SnapshotError",
     "CsvWriter",
-    "write_csv",
     "load_csv",
     "snapshot_dump",
     "snapshot_load",
@@ -56,12 +55,6 @@ class CsvWriter:
     def __exit__(self, *exc):
         self.close()
         return False
-
-
-def write_csv(records, path: str) -> None:
-    with CsvWriter(path) as writer:
-        for record in records:
-            writer.write(record)
 
 
 def load_csv(path: str):

@@ -105,6 +105,11 @@ def bf_poisson(source, sgrid):
     return phi, grad
 
 
+def laplacian(u, sgrid):
+    """The periodic 3-point Laplacian that `solve_poisson` inverts."""
+    return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / sgrid.spacing**2
+
+
 def bf_pairing(grad_phi, j_first, sgrid):
     total = 0.0
     for x in range(len(grad_phi)):
@@ -324,20 +329,14 @@ def pilot_samples(result):
     state in a loop of its own, sampling on the record grid and at the
     window's last step; this is the two-pass form of `delta = auto`.
     """
-    from fermibolt.evolution import SchemeConfig, plan_step, step
+    from fermibolt.evolution import plan_step, step
     from fermibolt.fields import FieldSet, moments, solve_poisson
     from fermibolt.functionals import field_current_pairing, relative_entropy, weighted_norm
 
     config, eq, dt = result.config, result.equilibrium, result.dt
-    scheme = SchemeConfig(
-        dt=dt,
-        cfl_safety=config.cfl_safety,
-        transport_order=config.transport,
-        splitting=config.splitting,
-    )
     state = result.initial.state.copy()
     vg, sg = state.vgrid, state.sgrid
-    plan = plan_step(result.kernel, vg, sg, scheme)
+    plan = plan_step(result.kernel, vg, sg, config)  # config.dt is the run's dt
     samples = []
 
     def collect(state):
@@ -563,17 +562,11 @@ def seed_records(result):
     Re-steps the trajectory from the run's initial state, diagnoses on the
     record grid and couples every record with the run's resolved delta.
     """
-    from fermibolt.evolution import SchemeConfig, plan_step, step
+    from fermibolt.evolution import plan_step, step
 
     config, dt = result.config, result.dt
-    scheme = SchemeConfig(
-        dt=dt,
-        cfl_safety=config.cfl_safety,
-        transport_order=config.transport,
-        splitting=config.splitting,
-    )
     state = result.initial.state.copy()
-    plan = plan_step(result.kernel, state.vgrid, state.sgrid, scheme)
+    plan = plan_step(result.kernel, state.vgrid, state.sgrid, config)
     records, kappas = [], []
 
     def record():

@@ -7,19 +7,15 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fermibolt.collision import apply_collision, build_kernel
+from fermibolt.collision import apply_collision, build_kernel, collision_dt_ceiling
 from fermibolt.config import ExperimentConfig, format_config
 from fermibolt.equilibrium import fermi_profile, global_equilibrium, project
 from fermibolt.evolution import (
     PhaseState,
-    SchemeConfig,
-    cfl_max_dt,
-    collision_dt_ceiling,
     collision_step,
     initial_state,
     plan_step,
@@ -59,7 +55,7 @@ def test_criterion_02_bound_preservation(default_run):
     vg = build_velocity_grid(1, 8.0, 64)
     sg = build_spatial_grid(64)
     kernel = build_kernel("constant", vg, sigma0=1.0)
-    draft = SchemeConfig(dt=1.0)
+    plan = plan_step(kernel, vg, sg, ExperimentConfig())  # dt = auto
     rng = np.random.default_rng(2024)
     for trial in range(100):
         kappa_bar = float(10.0 ** rng.uniform(-0.5, 0.5))
@@ -68,8 +64,6 @@ def test_criterion_02_bound_preservation(default_run):
         data = initial_state(
             sg, vg, kappa_bar, amplitude, perturbation=perturbation, seed=trial
         )
-        dt = cfl_max_dt(data.state, kernel, draft)
-        plan = plan_step(kernel, vg, sg, replace(draft, dt=dt))
         state = data.state
         for _ in range(3):
             state = step(state, plan)
@@ -111,7 +105,7 @@ def test_criterion_03_entropy_decay(default_run):
     for k in range(4):
         dt = dt0 / 2.0**k
         state = PhaseState(f=f0.copy(), time=0.0, vgrid=vg, sgrid=sg)
-        plan = plan_step(kernel, vg, sg, SchemeConfig(dt=dt))
+        plan = plan_step(kernel, vg, sg, ExperimentConfig(dt=dt))
         after = collision_step(state, plan, stages=1)
         h1 = relative_entropy(after.f, eq.profile, vg, sg)
         defects.append(abs(h1 - h0 + dt * d0))

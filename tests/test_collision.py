@@ -96,6 +96,14 @@ def test_table_validation(tmp_path, tiny):
         load_kernel_table(str(path), tiny)
 
 
+def test_table_for_another_lattice_fails_before_parsing(tmp_path, tiny):
+    # the header alone decides: the unparsable payload is never read
+    path = tmp_path / "wrong.txt"
+    path.write_text("9\nnot-a-number\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="declares N=9, grid has 8 nodes"):
+        load_kernel_table(str(path), tiny)
+
+
 def test_unknown_kernel_kind(grid):
     with pytest.raises(ValueError):
         build_kernel("quadratic", grid)

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fermibolt import collision, evolution
+from fermibolt import collision
 from fermibolt.velocity import build_velocity_grid
 from fermibolt.fields import build_spatial_grid, moments
-from fermibolt.collision import build_kernel
+from fermibolt.collision import build_kernel, collision_dt_ceiling
+from fermibolt.config import ExperimentConfig
 from fermibolt.equilibrium import fermi_profile
 from fermibolt.evolution import (
     PhaseState,
-    SchemeConfig,
-    cfl_max_dt,
-    collision_dt_ceiling,
     collision_step,
     initial_state,
     plan_step,
@@ -41,15 +39,14 @@ def kernel(vgrid):
 
 def _transport_plan(vgrid, sgrid, dt, order="upwind1"):
     """A Lie plan, so that one transport sub-step has length dt."""
-    scheme = SchemeConfig(dt=dt, transport_order=order, splitting="lie")
-    return plan_step(build_kernel("constant", vgrid), vgrid, sgrid, scheme)
+    config = ExperimentConfig(dt=dt, transport=order, splitting="lie")
+    return plan_step(build_kernel("constant", vgrid), vgrid, sgrid, config)
 
 
 def _step_plan(kernel, state, dt=None, **scheme):
-    """The plan of a run at dt, by default the largest admissible one."""
-    if dt is None:
-        dt = cfl_max_dt(state, kernel, SchemeConfig(dt=1.0, **scheme))
-    return plan_step(kernel, state.vgrid, state.sgrid, SchemeConfig(dt=dt, **scheme))
+    """The plan of a run at dt, by default (None) the `dt = auto` one."""
+    config = ExperimentConfig(dt=dt, **scheme)
+    return plan_step(kernel, state.vgrid, state.sgrid, config)
 
 
 def _random_state(rng, sgrid, vgrid, kappa_lo=0.5, kappa_hi=2.0):
@@ -96,22 +93,10 @@ def test_step_size_policy(sgrid, vgrid, kernel):
     rho_sat = float(np.sum(vgrid.weights))
     ceiling = collision_dt_ceiling(kernel, vgrid)
     assert math.isclose(ceiling, 1.0 / (1.0 * (m0 + rho_sat)), rel_tol=1e-14)
-    init = initial_state(sgrid, vgrid, 1.0, 0.5)
-    scheme = SchemeConfig(dt=1.0)
     vmax = float(np.max(np.abs(vgrid.first_axis)))
     expected = 0.9 * min(sgrid.spacing / vmax, ceiling)
-    assert math.isclose(cfl_max_dt(init.state, kernel, scheme), expected, rel_tol=1e-14)
-
-
-def test_scheme_config_validation():
-    with pytest.raises(ValueError):
-        SchemeConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        SchemeConfig(dt=0.1, cfl_safety=1.5)
-    with pytest.raises(ValueError):
-        SchemeConfig(dt=0.1, transport_order="weno5")
-    with pytest.raises(ValueError):
-        SchemeConfig(dt=0.1, splitting="godunov")
+    plan = plan_step(kernel, vgrid, sgrid, ExperimentConfig())
+    assert math.isclose(plan.dt, expected, rel_tol=1e-14)
 
 
 def test_transport_advects_step_profile(vgrid):
@@ -178,18 +163,18 @@ def test_transport_rejects_cfl_violation(sgrid, vgrid, kernel):
     vmax = float(np.max(np.abs(vgrid.first_axis)))
     with pytest.raises(ValueError, match="CFL"):
         plan_step(kernel, vgrid, sgrid,
-                  SchemeConfig(dt=1.5 * sgrid.spacing / vmax, splitting="lie"))
+                  ExperimentConfig(dt=1.5 * sgrid.spacing / vmax, splitting="lie"))
     # muscl2 halves the allowed Courant number
     with pytest.raises(ValueError, match="CFL"):
         plan_step(
             kernel,
             vgrid,
             sgrid,
-            SchemeConfig(dt=0.8 * sgrid.spacing / vmax, transport_order="muscl2",
-                         splitting="lie"),
+            ExperimentConfig(dt=0.8 * sgrid.spacing / vmax, transport="muscl2",
+                             splitting="lie"),
         )
     # Strang transports over dt / 2, so the same dt is admissible there
-    plan = plan_step(kernel, vgrid, sgrid, SchemeConfig(dt=1.5 * sgrid.spacing / vmax))
+    plan = plan_step(kernel, vgrid, sgrid, ExperimentConfig(dt=1.5 * sgrid.spacing / vmax))
     assert plan.transport_dt == 0.5 * plan.dt
     assert float(np.max(plan.mu)) == pytest.approx(0.75, rel=1e-14)
 
@@ -201,8 +186,8 @@ def test_collision_step_rejects_oversized_dt(vgrid, kernel):
     state = _random_state(rng, sg, vgrid)
     ceiling = collision_dt_ceiling(kernel, vgrid)
     with pytest.raises(ValueError, match="monotonicity ceiling"):
-        plan_step(kernel, vgrid, sg, SchemeConfig(dt=1.01 * ceiling))
-    out = collision_step(state, plan_step(kernel, vgrid, sg, SchemeConfig(dt=0.99 * ceiling)))
+        plan_step(kernel, vgrid, sg, ExperimentConfig(dt=1.01 * ceiling))
+    out = collision_step(state, plan_step(kernel, vgrid, sg, ExperimentConfig(dt=0.99 * ceiling)))
     assert float(out.f.min()) >= 0.0
     assert float(out.f.max()) <= 1.0
 
@@ -223,7 +208,7 @@ def test_step_matches_seed_oracle_bitwise(dim, n, kind, order, splitting, oracle
         kern = build_kernel(kind, vg)
     sg = build_spatial_grid(16)
     state = _random_state(np.random.default_rng(91), sg, vg)
-    plan = _step_plan(kern, state, transport_order=order, splitting=splitting)
+    plan = _step_plan(kern, state, transport=order, splitting=splitting)
     f = state.f.copy()
     for _ in range(50):
         state = step(state, plan)
@@ -241,7 +226,7 @@ def test_collision_substep_orders(vgrid):
 
     def evolve(n, stages):
         s = PhaseState(f=f0.copy(), time=0.0, vgrid=vgrid, sgrid=sg)
-        plan = plan_step(kern, vgrid, sg, SchemeConfig(dt=0.04 / n))
+        plan = plan_step(kern, vgrid, sg, ExperimentConfig(dt=0.04 / n))
         for _ in range(n):
             s = collision_step(s, plan, stages=stages)
         return s.f
@@ -261,7 +246,6 @@ def test_step_reads_the_stored_collision_ceiling(sgrid, vgrid, monkeypatch):
         raise AssertionError("collision ceiling recomputed after the kernel build")
 
     monkeypatch.setattr(collision, "collision_dt_ceiling", recomputed)
-    monkeypatch.setattr(evolution, "collision_dt_ceiling", recomputed)
     init = initial_state(sgrid, vgrid, 1.0, 0.5)
     for splitting in ("lie", "strang"):
         step(init.state.copy(), _step_plan(kern, init.state, splitting=splitting))
@@ -333,7 +317,7 @@ def test_splitting_self_convergence_orders(vgrid):
     vg = build_velocity_grid(1, 8.0, 32)
     kern = build_kernel("constant", vg)
     init = initial_state(sg, vg, 1.0, 0.5)
-    base = cfl_max_dt(init.state, kern, SchemeConfig(dt=1.0))
+    base = plan_step(kern, vg, sg, ExperimentConfig()).dt
     T = 0.25
     dt0 = T / math.ceil(T / base)
 

@@ -2,6 +2,8 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -540,6 +542,19 @@ def test_cli_threads_pins_environment(cli_run_dir, monkeypatch):
     assert cli.main(["--threads", "3", "fit", str(cli_run_dir / "diagnostics.csv")]) == 0
     for name in names:
         assert os.environ[name] == "3"
+
+
+def test_package_and_cli_import_without_numpy():
+    # `--threads` can pin the BLAS and OpenMP pools only while numpy is unloaded
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys, fermibolt, fermibolt.cli; "
+        "assert 'numpy' not in sys.modules, sorted(sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_check_passes(capsys):

@@ -12,21 +12,10 @@ from fermibolt.functionals import (
     DiagnosticsRecord,
     dissipation,
     field_current_pairing,
-    generalized_entropy,
-    identity_chi,
-    log_ratio_chi,
     relative_entropy,
-    tabulated_chi,
     weighted_norm,
 )
-from fermibolt.evolution import (
-    PhaseState,
-    SchemeConfig,
-    cfl_max_dt,
-    initial_state,
-    plan_step,
-    step,
-)
+from fermibolt.evolution import PhaseState
 from fermibolt.experiment import _couple, _diagnose
 
 import _bruteforce as bf
@@ -130,51 +119,6 @@ def test_entropy_matches_bruteforce(eq):
     )
 
 
-def test_generalized_entropy_log_choice_matches_closed_form(vgrid, sgrid, eq):
-    rng = np.random.default_rng(66)
-    f = _random_admissible(rng, vgrid, 16)
-    h_closed = relative_entropy(f, eq.profile, vgrid, sgrid)
-    h_quad = generalized_entropy(f, eq.profile, vgrid, sgrid, log_ratio_chi(eq.kappa))
-    assert math.isclose(h_quad, h_closed, rel_tol=1e-8)
-    assert generalized_entropy(
-        np.tile(eq.profile, (4, 1)), eq.profile, vgrid, sgrid, log_ratio_chi(eq.kappa)
-    ) == 0.0
-
-
-def test_generalized_entropy_identity_choice_decays(vgrid):
-    sg = build_spatial_grid(16)
-    kernel = build_kernel("constant", vgrid)
-    init = initial_state(sg, vgrid, 1.0, 0.5)
-    rho0, _ = moments(init.state.f, vgrid)
-    eq = global_equilibrium(float(np.sum(rho0)) * sg.spacing, 1.0, vgrid)
-    dt = cfl_max_dt(init.state, kernel, SchemeConfig(dt=1.0))
-    plan = plan_step(kernel, vgrid, sg, SchemeConfig(dt=dt))
-    state = init.state.copy()
-    values = [generalized_entropy(state.f, eq.profile, vgrid, sg, identity_chi)]
-    for _ in range(20):
-        state = step(state, plan)
-        values.append(generalized_entropy(state.f, eq.profile, vgrid, sg, identity_chi))
-    slack = 1e-10 * abs(values[0])
-    assert all(b <= a + slack for a, b in zip(values, values[1:]))
-    assert values[-1] < values[0]
-
-
-def test_tabulated_chi(vgrid, sgrid, eq):
-    z = np.linspace(1e-3, 60.0, 20000)
-    table = tabulated_chi(z, np.log(z / eq.kappa))
-    rng = np.random.default_rng(67)
-    f = _random_admissible(rng, vgrid, 8)
-    h_exact = generalized_entropy(f, eq.profile, vgrid, sgrid, log_ratio_chi(eq.kappa))
-    h_table = generalized_entropy(f, eq.profile, vgrid, sgrid, table)
-    assert math.isclose(h_table, h_exact, rel_tol=1e-4)
-    with pytest.raises(ValueError):
-        tabulated_chi(np.array([1.0, 1.0, 2.0]), np.array([0.0, 0.1, 0.2]))
-    with pytest.raises(ValueError):
-        tabulated_chi(np.array([1.0, 2.0, 3.0]), np.array([0.0, -0.1, 0.2]))
-    with pytest.raises(ValueError):
-        tabulated_chi(np.array([1.0, 2.0]), np.array([0.0, 0.1, 0.2]))
-
-
 def test_dissipation_nonnegative_and_zero_on_projections(vgrid, sgrid):
     kernel = build_kernel("constant", vgrid)
     rng = np.random.default_rng(68)
@@ -216,13 +160,6 @@ def test_dissipation_matches_pairwise_near_equilibrium(oracle_case):
         assert abs(d - d_pair) <= 1e-13 * d_pair
         values.append(d_pair)
     assert values[0] > 1e-6 and values[-1] < 1e-16
-
-
-def test_dissipation_identity_chi_still_nonnegative(vgrid, sgrid):
-    kernel = build_kernel("constant", vgrid)
-    rng = np.random.default_rng(70)
-    f = _random_admissible(rng, vgrid, 8)
-    assert dissipation(f, kernel, vgrid, sgrid, chi=identity_chi) > 0.0
 
 
 def test_pairing_zero_for_zero_current(sgrid):

@@ -6,8 +6,9 @@ import pytest
 from fermibolt.velocity import build_velocity_grid
 from fermibolt.fields import build_spatial_grid
 from fermibolt.collision import build_kernel
+from fermibolt.config import ExperimentConfig
 from fermibolt.equilibrium import fermi_profile
-from fermibolt.evolution import PhaseState, SchemeConfig, cfl_max_dt, plan_step, step
+from fermibolt.evolution import PhaseState, plan_step, step
 from fermibolt.functionals import RECORD_FIELDS, DiagnosticsRecord
 from fermibolt.storage import (
     CsvWriter,
@@ -15,8 +16,13 @@ from fermibolt.storage import (
     load_csv,
     snapshot_dump,
     snapshot_load,
-    write_csv,
 )
+
+
+def write_csv(records, path):
+    with CsvWriter(path) as writer:
+        for record in records:
+            writer.write(record)
 
 
 def _records(n):
@@ -163,8 +169,7 @@ def test_restart_is_bitwise(tmp_path):
     lower, upper = fermi_profile(0.5, vg), fermi_profile(2.0, vg)
     f = lower[None, :] + rng.uniform(0.0, 1.0, (16, 16)) * (upper - lower)[None, :]
     state = PhaseState(f=f.copy(), time=0.0, vgrid=vg, sgrid=sg)
-    dt = cfl_max_dt(state, kernel, SchemeConfig(dt=1.0))
-    plan = plan_step(kernel, vg, sg, SchemeConfig(dt=dt))
+    plan = plan_step(kernel, vg, sg, ExperimentConfig())  # dt = auto
 
     straight = state.copy()
     for _ in range(60):
