@@ -144,12 +144,11 @@ def plan_step(kernel: CollisionKernel, vgrid: VelocityGrid, sgrid: SpatialGrid,
               config: ExperimentConfig) -> StepPlan:
     """The step of one run: config.dt, or for `dt = auto` the largest safe one.
 
-    `dt = auto` is cfl_safety * min(full-step Courant limit, collision
-    ceiling). The Courant limit is taken for a transport sub-step of the
-    whole dt, whatever the splitting. Under Strang the sub-step is dt / 2,
-    so the auto dt transports at cfl_safety / 2 times the limit (Courant
-    number 0.45 for the defaults): where transport binds, it is about half
-    the largest dt that this check admits.
+    `dt = auto` is cfl_safety * min(sub-step Courant limit, collision
+    ceiling). The Courant limit is taken for one transport sub-step, dt / 2
+    under Strang and dt under Lie, so where transport binds each sub-step
+    runs at Courant number cfl_safety times the limit of its order (0.9 for
+    the defaults).
 
     Raises ConfigError (a ValueError) naming the limit and the largest
     admissible dt when a pinned dt fails either check; a plan that is
@@ -158,11 +157,12 @@ def plan_step(kernel: CollisionKernel, vgrid: VelocityGrid, sgrid: SpatialGrid,
     """
     limit = _COURANT[config.transport]
     ceiling = kernel.dt_ceiling
+    fraction = 0.5 if config.splitting == "strang" else 1.0
     dt = config.dt
     if dt is None:
         vmax = float(np.max(np.abs(vgrid.first_axis)))
-        dt = config.cfl_safety * min(limit * sgrid.spacing / vmax, ceiling)
-    transport_dt = 0.5 * dt if config.splitting == "strang" else dt
+        dt = config.cfl_safety * min(limit * sgrid.spacing / vmax / fraction, ceiling)
+    transport_dt = fraction * dt
     lam = vgrid.first_axis * (transport_dt / sgrid.spacing)
     courant = float(np.max(np.abs(lam)))
     largest = f"the largest admissible dt is {min(dt * limit / courant, ceiling):.6g}"

@@ -55,7 +55,7 @@ def refined_t_run(default_run):
 @pytest.fixture(scope="session")
 def fixed_point_run():
     # start exactly on the global equilibrium; over a thousand steps
-    config = ExperimentConfig(amplitude=0.0, t_final=1.8, record_every=50)
+    config = ExperimentConfig(amplitude=0.0, t_final=3.6, record_every=50)
     return run_experiment(config)
 
 

@@ -4,12 +4,10 @@ Each test prints a single verdict line for its criterion; run with
 `pytest -s tests/test_acceptance.py` to see all ten lines at once.
 """
 import math
-import os
 import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from fermibolt.collision import apply_collision, build_kernel, collision_dt_ceiling
 from fermibolt.config import ExperimentConfig, format_config
@@ -21,8 +19,8 @@ from fermibolt.evolution import (
     plan_step,
     step,
 )
-from fermibolt.fields import build_spatial_grid, moments, solve_poisson
-from fermibolt.functionals import dissipation, relative_entropy, weighted_norm
+from fermibolt.fields import build_spatial_grid, solve_poisson
+from fermibolt.functionals import dissipation, relative_entropy
 from fermibolt.velocity import build_velocity_grid, integrate
 
 import _bruteforce as bf

@@ -94,9 +94,31 @@ def test_step_size_policy(sgrid, vgrid, kernel):
     ceiling = collision_dt_ceiling(kernel, vgrid)
     assert math.isclose(ceiling, 1.0 / (1.0 * (m0 + rho_sat)), rel_tol=1e-14)
     vmax = float(np.max(np.abs(vgrid.first_axis)))
-    expected = 0.9 * min(sgrid.spacing / vmax, ceiling)
-    plan = plan_step(kernel, vgrid, sgrid, ExperimentConfig())
-    assert math.isclose(plan.dt, expected, rel_tol=1e-14)
+    limits = {"upwind1": 1.0, "muscl2": 0.5}
+    fractions = {"strang": 0.5, "lie": 1.0}
+    # four cells: the Strang upwind1 sub-step bound lies above the ceiling
+    for sg in (sgrid, build_spatial_grid(4)):
+        for splitting, fraction in fractions.items():
+            for order, limit in limits.items():
+                config = ExperimentConfig(transport=order, splitting=splitting)
+                plan = plan_step(kernel, vgrid, sg, config)
+                transport_bound = limit * sg.spacing / vmax / fraction
+                expected = 0.9 * min(transport_bound, ceiling)
+                assert math.isclose(plan.dt, expected, rel_tol=1e-14)
+                assert plan.transport_dt == fraction * plan.dt
+                if transport_bound < ceiling:
+                    assert math.isclose(float(np.max(plan.mu)), 0.9 * limit, rel_tol=1e-14)
+                # an auto dt passes the pinned-dt checks and plans the same step
+                pinned = plan_step(kernel, vgrid, sg,
+                                   ExperimentConfig(dt=plan.dt, transport=order,
+                                                    splitting=splitting))
+                assert pinned.dt == plan.dt
+                assert pinned.transport_dt == plan.transport_dt
+                assert np.array_equal(pinned.mu, plan.mu)
+                if order == "muscl2":
+                    assert np.array_equal(pinned.muscl, plan.muscl)
+    coarse = plan_step(kernel, vgrid, build_spatial_grid(4), ExperimentConfig())
+    assert coarse.dt == 0.9 * kernel.dt_ceiling
 
 
 def test_transport_advects_step_profile(vgrid):
@@ -317,7 +339,7 @@ def test_splitting_self_convergence_orders(vgrid):
     vg = build_velocity_grid(1, 8.0, 32)
     kern = build_kernel("constant", vg)
     init = initial_state(sg, vg, 1.0, 0.5)
-    base = plan_step(kern, vg, sg, ExperimentConfig()).dt
+    base = plan_step(kern, vg, sg, ExperimentConfig(splitting="lie")).dt
     T = 0.25
     dt0 = T / math.ceil(T / base)
 

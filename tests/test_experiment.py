@@ -182,7 +182,7 @@ def test_auto_delta_resolution():
         nodes_per_axis=16,
         spatial_cells=16,
         t_final=3.0,
-        record_every=10,
+        record_every=5,
         delta=None,
     )
     result = run_experiment(config)
