@@ -89,7 +89,8 @@ def _cmd_run(args) -> int:
             config.seed = args.seed
         result = run_experiment(config, output_dir=args.output_dir)
     except ConfigError as exc:
-        # a bad config file, or a pinned dt over a step-size limit
+        # a bad config file, lattice or kernel file, or a pinned dt over a
+        # step-size limit
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
     last = result.records[-1]
@@ -132,13 +133,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    from .collision import build_kernel
-    from .config import load_config
+    from .config import ConfigError, load_config
     from .equilibrium import global_equilibrium
-    from .experiment import audit_proof_chain
-    from .fields import build_spatial_grid
+    from .experiment import audit_proof_chain, build_lattice
     from .storage import load_csv, snapshot_load
-    from .velocity import build_velocity_grid
 
     csv_path = args.csv
     snap_dir = args.snapshots
@@ -147,21 +145,18 @@ def _cmd_audit(args) -> int:
         if not os.path.exists(path):
             print(f"audit failed: missing {path}", file=sys.stderr)
             return 1
-    config = load_config(manifest)
+    try:
+        config = load_config(manifest)
+        vgrid, sgrid, kernel = build_lattice(config)
+    except ConfigError as exc:
+        print(f"audit failed: {manifest}: {exc}", file=sys.stderr)
+        return 1
     if config.delta is None:
         print("audit failed: manifest does not pin delta", file=sys.stderr)
         return 1
     records, n_warnings = load_csv(csv_path)
     if n_warnings:
         print(f"warning: {n_warnings} truncated trailing line ignored", file=sys.stderr)
-    vgrid = build_velocity_grid(config.d_v, config.half_width, config.nodes_per_axis)
-    sgrid = build_spatial_grid(config.spatial_cells)
-    kernel = build_kernel(
-        config.kernel,
-        vgrid,
-        sigma0=config.sigma0,
-        table_path=config.kernel_file or None,
-    )
     names = sorted(n for n in os.listdir(snap_dir) if n.endswith(".snap"))
     if not names:
         print("audit failed: no snapshots found", file=sys.stderr)
@@ -171,9 +166,7 @@ def _cmd_audit(args) -> int:
         for name in names
     ]
     eq = global_equilibrium(records[0].mass, sgrid.volume, vgrid)
-    constants = audit_proof_chain(
-        records, states, kernel=kernel, eq=eq, delta=config.delta
-    )
+    constants = audit_proof_chain(records, states, kernel=kernel, eq=eq)
     for key, value in constants.items():
         if isinstance(value, float):
             print(f"{key} = {value:.12g}")

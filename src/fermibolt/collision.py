@@ -30,7 +30,6 @@ __all__ = [
     "CollisionKernel",
     "build_kernel",
     "load_kernel_table",
-    "save_kernel_table",
     "apply_collision",
     "collision_dt_ceiling",
 ]
@@ -76,19 +75,6 @@ class CollisionKernel:
             rows = np.einsum("ac,...cd->...ad", self.bump, cube)
             gauss = np.einsum("...ad,bd->...ab", rows, self.bump).reshape(g.shape)
         return flat + (0.5 * self.node_weight) * gauss
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense (n_nodes, n_nodes) table sigma, built on each access.
-
-        For export and for oracle checks; no run path uses it.
-        """
-        if self.table is not None:
-            return self.table
-        if self.bump is None:
-            return np.full((self.n_nodes, self.n_nodes), self.level)
-        gauss = self.bump if self.dim == 1 else np.kron(self.bump, self.bump)
-        return self.level + 0.5 * gauss
 
 
 def collision_dt_ceiling(kernel: CollisionKernel, vgrid: VelocityGrid) -> float:
@@ -169,14 +155,6 @@ def load_kernel_table(path: str, grid: VelocityGrid) -> CollisionKernel:
         raise ValueError(f"kernel values must be positive, found {lo:g}")
     return _make_kernel("custom_table", grid, math.nan, (lo, float(matrix.max())),
                         table=matrix)
-
-
-def save_kernel_table(kernel: CollisionKernel, path: str) -> None:
-    n = kernel.matrix.shape[0]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n}\n")
-        for row in kernel.matrix:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def apply_collision(f: np.ndarray, kernel: CollisionKernel,

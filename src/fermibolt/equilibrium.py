@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 MAX_NEWTON_ITER = 200
+PROJECT_REL_TOL = 1e-12       # per-cell density match of `project`
+EQUILIBRIUM_REL_TOL = 1e-14   # density match of `global_equilibrium`
 
 
 class SaturationError(ValueError):
@@ -135,20 +137,16 @@ def solve_kappa(
     return float(solve_kappa_many(np.array([target_density]), grid, rel_tol, init)[0])
 
 
-def global_equilibrium(
-    initial_mass: float,
-    spatial_volume: float,
-    grid: VelocityGrid,
-    rel_tol: float = 1e-14,
-) -> EquilibriumProfile:
+def global_equilibrium(initial_mass: float, spatial_volume: float,
+                       grid: VelocityGrid) -> EquilibriumProfile:
     """Uniform equilibrium carrying the conserved mass.
 
     The constant density initial_mass / spatial_volume fixes kappa; the
-    tight default tolerance keeps the equilibrium-distance floor of long
+    tight EQUILIBRIUM_REL_TOL keeps the equilibrium-distance floor of long
     runs well below the diagnostic resolution.
     """
     rho = initial_mass / spatial_volume
-    kappa = solve_kappa(rho, grid, rel_tol=rel_tol)
+    kappa = solve_kappa(rho, grid, rel_tol=EQUILIBRIUM_REL_TOL)
     return EquilibriumProfile(
         kappa=kappa,
         profile=fermi_profile(kappa, grid),
@@ -156,13 +154,8 @@ def global_equilibrium(
     )
 
 
-def project(
-    f: np.ndarray,
-    grid: VelocityGrid,
-    rel_tol: float = 1e-12,
-    kappa_cache: np.ndarray | None = None,
-    rho: np.ndarray | None = None,
-):
+def project(f: np.ndarray, grid: VelocityGrid, kappa_cache: np.ndarray | None = None,
+            rho: np.ndarray | None = None):
     """Cell-by-cell Fermi-Dirac profile with the same density as f.
 
     Returns (profile_field, kappa) with profile_field shaped like f and
@@ -176,5 +169,5 @@ def project(
         raise ValueError("expected f shaped (cells, velocity nodes)")
     if rho is None:
         rho = integrate(f, grid)
-    kappa, profile = _newton(rho, grid, rel_tol, kappa_cache)
+    kappa, profile = _newton(rho, grid, PROJECT_REL_TOL, kappa_cache)
     return profile, kappa

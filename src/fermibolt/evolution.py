@@ -217,43 +217,38 @@ def _advect_once(f: np.ndarray, plan: StepPlan) -> np.ndarray:
     return f_new
 
 
-def transport_step(state: PhaseState, plan: StepPlan, stages: int = 1) -> PhaseState:
+def transport_step(state: PhaseState, plan: StepPlan) -> PhaseState:
     """Advect every velocity node around the torus for plan.transport_dt.
 
-    stages=1 is the plain monotone update; stages=2 wraps it in a Heun
-    pair (a convex combination of two such updates), which keeps every
-    bound the monotone update guarantees while gaining an order of
-    accuracy in dt for the symmetric splitting.
+    Lie takes the plain monotone update; Strang wraps it in a Heun pair
+    (a convex combination of two such updates), which keeps every bound
+    the monotone update guarantees while gaining an order of accuracy in
+    dt for the symmetric splitting.
     """
     f = state.f
-    if stages == 1:
-        f_new = _advect_once(f, plan)
-    elif stages == 2:
-        f_new = _advect_once(_advect_once(f, plan), plan)
+    f_new = _advect_once(f, plan)
+    if plan.splitting == "strang":
+        f_new = _advect_once(f_new, plan)
         f_new *= 0.5
         f_new += 0.5 * f
-    else:
-        raise ValueError("stages must be 1 or 2")
     return PhaseState(
         f_new, state.time + plan.transport_dt, state.vgrid, state.sgrid,
         state.kappa_cache,
     )
 
 
-def collision_step(state: PhaseState, plan: StepPlan, stages: int = 1) -> PhaseState:
-    """Explicit collision substep of plan.dt: forward Euler, or Heun for stages=2.
+def collision_step(state: PhaseState, plan: StepPlan) -> PhaseState:
+    """Explicit collision substep of plan.dt: forward Euler under Lie, Heun under Strang.
 
     Heun is the midpoint-free convex combination of two Euler stages, so
     it inherits the Euler bound preservation while restoring second
     order inside the symmetric splitting.
     """
     f, dt, kernel = state.f, plan.dt, plan.kernel
-    if stages not in (1, 2):
-        raise ValueError("stages must be 1 or 2")
     f_new = apply_collision(f, kernel, state.vgrid)
     f_new *= dt
     f_new += f
-    if stages == 2:
+    if plan.splitting == "strang":
         stage = f_new
         f_new = apply_collision(stage, kernel, state.vgrid)
         f_new *= dt
@@ -274,18 +269,16 @@ def collision_step(state: PhaseState, plan: StepPlan, stages: int = 1) -> PhaseS
 
 def step(state: PhaseState, plan: StepPlan,
          check: Callable[[PhaseState], None] | None = None) -> PhaseState:
-    """One full splitting step of size plan.dt.
+    """One splitting step of size plan.dt.
 
+    Transport, then collision, then under Strang a second transport.
     `check`, when given, is called on the new state before it is
     returned; it raises to abort the run at this step.
     """
-    if plan.splitting == "lie":
-        out = transport_step(state, plan)
-        out = collision_step(out, plan)
-    else:
-        out = transport_step(state, plan, stages=2)
-        out = collision_step(out, plan, stages=2)
-        out = transport_step(out, plan, stages=2)
+    out = transport_step(state, plan)
+    out = collision_step(out, plan)
+    if plan.splitting == "strang":
+        out = transport_step(out, plan)
     out.time = state.time + plan.dt
     if check is not None:
         check(out)

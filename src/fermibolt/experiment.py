@@ -53,6 +53,7 @@ __all__ = [
     "FitError",
     "RateReport",
     "RunResult",
+    "build_lattice",
     "run_experiment",
     "estimate_decay_rate",
     "audit_proof_chain",
@@ -68,6 +69,7 @@ MASS_DRIFT_TOL = 1e-12        # relative, abort threshold
 DISSIPATION_FLOOR = -1e-12    # abort if D drops below
 FIT_MIN_RECORDS = 20
 DIST_EPS = 10.0 * np.finfo(float).eps
+AUDIT_DIST_FLOOR = 1e-9       # audit ratios skip distances below this
 # The entropy is a fully cancelled log expression, so its absolute noise
 # floor sits near eps times the initial value; ratios built from it are
 # only meaningful well above that level.
@@ -260,6 +262,18 @@ def _write_manifest(snap_dir: str, config: ExperimentConfig) -> None:
         fh.write(format_config(config))
 
 
+def build_lattice(config: ExperimentConfig):
+    """(vgrid, sgrid, kernel) of a run; ConfigError if the lattice or kernel file fails."""
+    try:
+        vgrid = build_velocity_grid(config.d_v, config.half_width, config.nodes_per_axis)
+        sgrid = build_spatial_grid(config.spatial_cells)
+        kernel = build_kernel(config.kernel, vgrid, sigma0=config.sigma0,
+                              table_path=config.kernel_file or None)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return vgrid, sgrid, kernel
+
+
 def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> RunResult:
     """Evolve the configured system and collect diagnostics.
 
@@ -273,14 +287,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     held records are completed and written, and the run streams on.
     """
     config.validate()
-    vgrid = build_velocity_grid(config.d_v, config.half_width, config.nodes_per_axis)
-    sgrid = build_spatial_grid(config.spatial_cells)
-    kernel = build_kernel(
-        config.kernel,
-        vgrid,
-        sigma0=config.sigma0,
-        table_path=config.kernel_file or None,
-    )
+    vgrid, sgrid, kernel = build_lattice(config)
     init = initial_state(
         sgrid,
         vgrid,
@@ -376,7 +383,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     if report is not None:
         try:
             report.lemma_constants = audit_proof_chain(
-                records, audit_states, kernel=kernel, eq=eq, delta=delta
+                records, audit_states, kernel=kernel, eq=eq
             )
         except (ValueError, RuntimeError):
             report.lemma_constants = {}
@@ -458,20 +465,13 @@ def _density_rate(j1: np.ndarray, sgrid: SpatialGrid) -> np.ndarray:
     return -centered_gradient(j1, sgrid)
 
 
-def audit_proof_chain(
-    records,
-    states,
-    *,
-    kernel: CollisionKernel,
-    eq: EquilibriumProfile,
-    delta: float,
-    dist_floor: float = 1e-9,
-) -> dict:
+def audit_proof_chain(records, states, *, kernel: CollisionKernel,
+                      eq: EquilibriumProfile) -> dict:
     """Recompute both sides of every inequality in the decay chain.
 
     Returns the empirical extremal constants; every value the argument
     requires to be positive must come out positive on a healthy run.
-    Samples whose distances fall below `dist_floor` cannot support a
+    Samples whose distances fall below AUDIT_DIST_FLOOR cannot support a
     ratio and are skipped (the skip count is part of the result), and
     entropy-based ratios additionally require the entropy itself to sit
     above its round-off noise floor.
@@ -523,7 +523,7 @@ def audit_proof_chain(
 
         # entropy production vs local distance, and the operator bound
         ent_floor = ENTROPY_NOISE_FACTOR * max(entropy[0], 0.0)
-        if dl > dist_floor:
+        if dl > AUDIT_DIST_FLOOR:
             q_norm = weighted_norm(q_coll, vg, sg)
             out["c2_max_ratio"] = max(out["c2_max_ratio"], q_norm / dl)
             if min(entropy[k - 1], entropy[k + 1]) > ent_floor:
@@ -554,13 +554,13 @@ def audit_proof_chain(
         out["step1_excess_max"] = max(out["step1_excess_max"], s1 - vg.dim * dl**2)
 
         # hydrodynamic coercivity and the two cross terms
-        if dh > dist_floor:
+        if dh > AUDIT_DIST_FLOOR:
             q_second = integrate(
                 (proj - eq.profile[None, :]) * (vg.first_axis**2)[None, :], vg
             )
             t1 = -float(np.sum(grad_phi * centered_gradient(q_second, sg))) * sg.spacing
             out["c9_min"] = min(out["c9_min"], -t1 / dh**2)
-            if dl > dist_floor:
+            if dl > AUDIT_DIST_FLOOR:
                 g_dev = f - proj
                 dx_g = (np.roll(g_dev, -1, axis=0) - np.roll(g_dev, 1, axis=0)) / (
                     2.0 * sg.spacing
@@ -582,7 +582,7 @@ def audit_proof_chain(
         if lyap[i] > lyap_floor:
             rate = -(lyap[i + 1] - lyap[i - 1]) / (t[i + 1] - t[i - 1]) / lyap[i]
             out["gronwall_ratio_min"] = min(out["gronwall_ratio_min"], rate)
-        if dist_total[i] > dist_floor:
+        if dist_total[i] > AUDIT_DIST_FLOOR:
             if lyap[i] > lyap_floor:
                 ratio = lyap[i] / dist_total[i] ** 2
                 out["c6_min"] = min(out["c6_min"], ratio)

@@ -21,7 +21,7 @@ macroscopic corrector of Dolbeault, Mouhot and Schmeiser (Trans. AMS
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -97,9 +97,11 @@ def dissipation(
     pairwise form is lost, so D can come out negative at rounding level.
     The kappa_inf offset of the entropy's log(F / kappa_inf) cancels in
     the shifted log.
+
+    f must lie strictly inside (0, 1); that is not checked here. A run
+    checks it once per record through `relative_entropy` on the same f.
     """
     f = np.asarray(f, dtype=float)
-    _check_open_interval(f)
     a = vgrid.maxwellian * (1.0 - f)          # (cells, N)
     ratio = f / a                             # F = f / (M (1 - f))
     centre = np.add.reduce(f, axis=-1) / np.add.reduce(a, axis=-1)  # uniform weights cancel
@@ -115,26 +117,9 @@ def field_current_pairing(fields: FieldSet, sgrid: SpatialGrid) -> float:
     return float(np.add.reduce(fields.grad_phi * fields.j[:, 0]) * sgrid.spacing)
 
 
-RECORD_FIELDS = (
-    "t",
-    "mass",
-    "H",
-    "E",
-    "D",
-    "dist_total",
-    "dist_local",
-    "dist_hydro",
-    "pairing",
-    "ratio_c1",
-    "ratio_c6",
-    "kappa_min",
-    "kappa_max",
-)
-
-
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """One diagnostics row; field order matches the CSV schema."""
+    """One diagnostics row; its field order is the CSV schema, RECORD_FIELDS."""
 
     t: float
     mass: float
@@ -152,3 +137,6 @@ class DiagnosticsRecord:
 
     def as_row(self) -> tuple[float, ...]:
         return tuple(getattr(self, name) for name in RECORD_FIELDS)
+
+
+RECORD_FIELDS = tuple(field.name for field in dataclass_fields(DiagnosticsRecord))

@@ -7,7 +7,7 @@ import dataclasses
 
 import pytest
 
-from fermibolt.collision import build_kernel, load_kernel_table, save_kernel_table
+from fermibolt.collision import build_kernel, load_kernel_table
 from fermibolt.config import ExperimentConfig
 from fermibolt.experiment import run_experiment
 from fermibolt.velocity import build_velocity_grid
@@ -75,19 +75,21 @@ def tiny_run(tmp_path_factory):
 def oracle_kernels(tmp_path_factory):
     """{(d_v, kind): (grid, kernel, dense oracle table)} for ORACLE_CASES.
 
-    The custom_table kernel is the gaussian_bump table saved to disk and
-    loaded back, so its oracle is the Gaussian formula table.
+    The custom_table kernel is the Gaussian formula table written to disk
+    and loaded back, so it shares the gaussian_bump oracle.
     """
     out = {}
     for dim, n in ORACLE_LATTICES:
         grid = build_velocity_grid(dim, 8.0, n)
         for kind in ("constant", "gaussian_bump"):
             out[dim, kind] = (grid, build_kernel(kind, grid), bf.bf_kernel_table(kind, grid))
-        path = str(tmp_path_factory.mktemp("kernel_table") / f"bump{dim}d.txt")
-        save_kernel_table(out[dim, "gaussian_bump"][1], path)
-        out[dim, "custom_table"] = (
-            grid, load_kernel_table(path, grid), out[dim, "gaussian_bump"][2]
-        )
+        table = out[dim, "gaussian_bump"][2]
+        path = tmp_path_factory.mktemp("kernel_table") / f"bump{dim}d.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{grid.n_nodes}\n")
+            for row in table:
+                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        out[dim, "custom_table"] = (grid, load_kernel_table(str(path), grid), table)
     return out
 
 

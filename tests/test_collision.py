@@ -6,7 +6,6 @@ from fermibolt.collision import (
     apply_collision,
     build_kernel,
     load_kernel_table,
-    save_kernel_table,
 )
 from fermibolt.equilibrium import fermi_profile, project
 
@@ -32,22 +31,24 @@ def _random_admissible(rng, grid, n_cells, kappa_lo=0.5, kappa_hi=2.0):
 
 def test_constant_kernel(grid):
     kernel = build_kernel("constant", grid, sigma0=1.0)
-    assert np.all(kernel.matrix == 1.0)
+    assert kernel.level == 1.0
+    assert kernel.bump is None and kernel.table is None
     assert kernel.sigma_minus == 1.0
     assert kernel.sigma_plus == 1.0
     scaled = build_kernel("constant", grid, sigma0=0.25)
-    assert np.all(scaled.matrix == 0.25)
+    assert scaled.level == 0.25
 
 
 def test_gaussian_bump_kernel(grid):
     kernel = build_kernel("gaussian_bump", grid)
-    assert np.allclose(np.diag(kernel.matrix), 1.5, rtol=0.0, atol=1e-15)
-    far = kernel.matrix[0, -1]  # nodes at opposite ends of the box
+    table = kernel.level + 0.5 * kernel.bump  # the 1-d table
+    assert np.allclose(np.diag(table), 1.5, rtol=0.0, atol=1e-15)
+    far = table[0, -1]  # nodes at opposite ends of the box
     assert abs(far - 1.0) < 1e-12
     assert kernel.sigma_minus == 1.0
     assert kernel.sigma_plus == 1.5
-    assert np.array_equal(kernel.matrix, kernel.matrix.T)
-    assert np.all(kernel.matrix > 0.0)
+    assert np.array_equal(table, table.T)
+    assert np.all(table > 0.0)
 
 
 def test_custom_table_round_trip(tmp_path, tiny):
@@ -60,11 +61,7 @@ def test_custom_table_round_trip(tmp_path, tiny):
         for row in matrix:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
     kernel = load_kernel_table(str(path), tiny)
-    assert kernel.matrix.shape == (8, 8)
-    copy_path = tmp_path / "copy.txt"
-    save_kernel_table(kernel, str(copy_path))
-    reloaded = load_kernel_table(str(copy_path), tiny)
-    assert np.array_equal(reloaded.matrix, kernel.matrix)
+    assert np.array_equal(kernel.table, matrix)
 
 
 def test_table_validation(tmp_path, tiny):
@@ -168,8 +165,9 @@ def test_collision_matches_bruteforce(tiny):
     kernel = build_kernel("gaussian_bump", tiny)
     f = _random_admissible(rng, tiny, 6)
     q = apply_collision(f, kernel, tiny)
+    table = bf.bf_kernel_table("gaussian_bump", tiny)
     for x in range(6):
-        q_bf = bf.bf_apply_collision(f[x], kernel.matrix, tiny)
+        q_bf = bf.bf_apply_collision(f[x], table, tiny)
         assert np.allclose(q[x], q_bf, rtol=1e-13, atol=1e-16)
 
 
@@ -185,7 +183,7 @@ def test_norm_probe_skips_equilibria(grid):
 def test_norm_probe_against_dense_oracle(tiny):
     kernel = build_kernel("gaussian_bump", tiny)
     margin, direction = bf.bf_collision_operator_norm(
-        fermi_profile(1.0, tiny), kernel.matrix, tiny
+        fermi_profile(1.0, tiny), bf.bf_kernel_table("gaussian_bump", tiny), tiny
     )
     eps = 1e-6
     sample = fermi_profile(1.0, tiny) + eps * direction
@@ -227,8 +225,6 @@ def test_structured_collision_matches_dense_oracle(oracle_case):
     q_dense = bf.dense_apply_collision(f, table, grid)
     gain = grid.maxwellian * (1.0 - f) * bf.dense_scatter(f, table, grid)
     assert float(np.max(np.abs(q - q_dense))) <= 1e-14 * float(np.max(np.abs(gain)))
-    # the on-demand dense table is the defining formula up to rounding
-    assert np.allclose(kernel.matrix, table, rtol=0.0, atol=1e-15)
 
 
 def test_gaussian_bump_at_64sq_holds_no_dense_table():

@@ -37,9 +37,13 @@ def kernel(vgrid):
     return build_kernel("constant", vgrid)
 
 
-def _transport_plan(vgrid, sgrid, dt, order="upwind1"):
-    """A Lie plan, so that one transport sub-step has length dt."""
-    config = ExperimentConfig(dt=dt, transport=order, splitting="lie")
+def _transport_plan(vgrid, sgrid, dt, order="upwind1", stages=1):
+    """A plan whose transport sub-step has length dt and `stages` stages.
+
+    One stage is a Lie plan at dt, two (a Heun pair) a Strang plan at 2 dt.
+    """
+    splitting, step_dt = ("lie", dt) if stages == 1 else ("strang", 2.0 * dt)
+    config = ExperimentConfig(dt=step_dt, transport=order, splitting=splitting)
     return plan_step(build_kernel("constant", vgrid), vgrid, sgrid, config)
 
 
@@ -150,8 +154,7 @@ def test_transport_preserves_uniform_states(sgrid, vgrid):
         for stages in (1, 2):
             state = PhaseState(f=f.copy(), time=0.0, vgrid=vgrid, sgrid=sgrid)
             dt = 0.4 * sgrid.spacing / float(np.max(np.abs(vgrid.first_axis)))
-            out = transport_step(state, _transport_plan(vgrid, sgrid, dt, order),
-                                 stages=stages)
+            out = transport_step(state, _transport_plan(vgrid, sgrid, dt, order, stages))
             assert np.array_equal(out.f, f)
 
 
@@ -164,7 +167,7 @@ def test_transport_matches_roll_oracle_bitwise(dim, stages, order):
     rng = np.random.default_rng(84)
     state = _random_state(rng, sg, vg)
     dt = 0.45 * sg.spacing / float(np.max(np.abs(vg.first_axis)))
-    out = transport_step(state, _transport_plan(vg, sg, dt, order), stages=stages)
+    out = transport_step(state, _transport_plan(vg, sg, dt, order, stages))
     lam = vg.first_axis * (dt / sg.spacing)
     assert np.array_equal(out.f, bf.roll_transport(state.f, lam, order, stages))
 
@@ -246,15 +249,16 @@ def test_collision_substep_orders(vgrid):
     lower, upper = fermi_profile(0.5, vgrid), fermi_profile(2.0, vgrid)
     f0 = lower[None, :] + rng.uniform(0.0, 1.0, (4, vgrid.n_nodes)) * (upper - lower)[None, :]
 
-    def evolve(n, stages):
+    def evolve(n, splitting):
         s = PhaseState(f=f0.copy(), time=0.0, vgrid=vgrid, sgrid=sg)
-        plan = plan_step(kern, vgrid, sg, ExperimentConfig(dt=0.04 / n))
+        plan = plan_step(kern, vgrid, sg, ExperimentConfig(dt=0.04 / n, splitting=splitting))
         for _ in range(n):
-            s = collision_step(s, plan, stages=stages)
+            s = collision_step(s, plan)
         return s.f
 
-    for stages, window in ((1, (0.8, 1.2)), (2, (1.8, 2.2))):
-        sols = [evolve(8 * 2**k, stages) for k in range(3)]
+    # Lie takes Euler collision sub-steps, Strang the two-stage ones
+    for splitting, window in (("lie", (0.8, 1.2)), ("strang", (1.8, 2.2))):
+        sols = [evolve(8 * 2**k, splitting) for k in range(3)]
         errs = [float(np.max(np.abs(sols[k] - sols[k + 1]))) for k in range(2)]
         order = math.log2(errs[0] / errs[1])
         assert window[0] <= order <= window[1]
@@ -329,8 +333,8 @@ def test_vanishing_kernel_reduces_to_transport(sgrid, vgrid):
     pure = init.state.copy()
     for _ in range(100):
         full = step(full, plan)
-        pure = transport_step(pure, plan, stages=2)
-        pure = transport_step(pure, plan, stages=2)
+        pure = transport_step(pure, plan)
+        pure = transport_step(pure, plan)
     assert float(np.max(np.abs(full.f - pure.f))) <= 1e-10
 
 

@@ -390,7 +390,6 @@ def test_audit_requires_states(tiny_run):
             [],
             kernel=tiny_run.kernel,
             eq=tiny_run.equilibrium,
-            delta=tiny_run.config.delta,
         )
 
 
@@ -403,7 +402,6 @@ def test_audit_rejects_unmatched_snapshot(tiny_run):
             [bad],
             kernel=tiny_run.kernel,
             eq=tiny_run.equilibrium,
-            delta=tiny_run.config.delta,
         )
 
 
@@ -527,6 +525,22 @@ def test_cli_audit_missing_manifest(cli_run_dir, tmp_path, capsys):
     )
     assert rc == 1
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["nodes_per_axis = 7", "nodes = 3"],
+                         ids=["odd-lattice", "unknown-key"])
+def test_cli_audit_reports_a_bad_manifest(cli_run_dir, tmp_path, capsys, line):
+    manifest = (cli_run_dir / "snapshots" / "manifest.cfg").read_text(encoding="utf-8")
+    key = line.split(" = ")[0]
+    kept = [ln for ln in manifest.splitlines() if not ln.startswith(key + " ")]
+    (tmp_path / "manifest.cfg").write_text("\n".join(kept + [line]) + "\n",
+                                           encoding="utf-8")
+    rc = cli.main(["audit", str(cli_run_dir / "diagnostics.csv"), str(tmp_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("audit failed: ")
 
 
 def test_cli_threads_pins_environment(cli_run_dir, monkeypatch):

@@ -161,7 +161,7 @@ def test_density_update_matches_face_flux(sgrid, vgrid):
     # a Lie plan transports over the whole dt
     plan = plan_step(build_kernel("constant", vgrid), vgrid, sgrid,
                      ExperimentConfig(dt=dt, splitting="lie"))
-    after = transport_step(state, plan, stages=1)
+    after = transport_step(state, plan)
     rho0, _ = moments(f, vgrid)
     rho1, _ = moments(after.f, vgrid)
     flux = bf.bf_upwind_face_flux(f, vgrid, sgrid)

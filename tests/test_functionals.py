@@ -139,7 +139,7 @@ def test_dissipation_matches_bruteforce():
     f = _random_admissible(rng, vg, 8)
     assert math.isclose(
         dissipation(f, kernel, vg, sg),
-        bf.bf_dissipation(f, kernel.matrix, vg, sg),
+        bf.bf_dissipation(f, bf.bf_kernel_table("gaussian_bump", vg), vg, sg),
         rel_tol=1e-12,
     )
 

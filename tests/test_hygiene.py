@@ -1,0 +1,83 @@
+"""Source hygiene: no unused import and no unused function parameter in src/.
+
+An AST scan of every module of the package. A name counts as used when
+it is loaded anywhere in its module (annotations included) or listed in
+`__all__`; a parameter counts as used when its function body loads it.
+"""
+import ast
+import pathlib
+
+import fermibolt
+
+PACKAGE = pathlib.Path(fermibolt.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+# Signatures a caller fixes: the CLI handlers share `args`; `self`/`cls`
+# and the context-manager protocol need no use.
+EXEMPT_PARAMETERS = {"self", "cls"}
+EXEMPT_FUNCTIONS = {"__exit__"}
+
+
+def _is_cli_handler(path, function):
+    return path.name == "cli.py" and function.name.startswith("_cmd_")
+
+
+def _loaded_names(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+    return names
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _loaded_names(tree) | _exported(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    found.append(f"{path.name}:{node.lineno} {bound}")
+    return found
+
+
+def unused_parameters(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name in EXEMPT_FUNCTIONS or _is_cli_handler(path, node):
+            continue
+        spec = node.args
+        params = spec.posonlyargs + spec.args + spec.kwonlyargs
+        params += [arg for arg in (spec.vararg, spec.kwarg) if arg is not None]
+        used = set()
+        for statement in node.body:
+            used |= _loaded_names(statement)
+        for arg in params:
+            if arg.arg not in used and arg.arg not in EXEMPT_PARAMETERS:
+                found.append(f"{path.name}:{node.lineno} {node.name}({arg.arg})")
+    return found
+
+
+def test_no_unused_imports():
+    assert [hit for path in MODULES for hit in unused_imports(path)] == []
+
+
+def test_no_unused_parameters():
+    assert [hit for path in MODULES for hit in unused_parameters(path)] == []

@@ -186,11 +186,26 @@ def test_cli_run_refuses_an_over_limit_dt(limit, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_run_reports_a_bad_config_file(tmp_path, capsys):
+BAD_CONFIGS = {
+    "unknown-key": ("nodes_per_axis = 16\nnodes = 3", "line 2: unknown key 'nodes'"),
+    "odd-lattice": ("nodes_per_axis = 7", "nodes_per_axis must be even, got 7"),
+    "d_v-3": ("d_v = 3", "velocity dimension must be 1 or 2, got 3"),
+    "narrow-box": ("half_width = 2", "half_width must be >= 4, got 2.0"),
+    "three-cells": ("spatial_cells = 3", "need at least 4 spatial cells, got 3"),
+    "missing-kernel-file": ("kernel = custom_table\nkernel_file = {tmp}/absent.txt",
+                            "[Errno 2] No such file or directory: '{tmp}/absent.txt'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_cli_run_reports_a_bad_config_file(tmp_path, capsys, case):
+    # a malformed file and a lattice or kernel file that cannot be built
+    # end the same way: one stderr line, exit code 2, no artifacts
+    text, message = (part.format(tmp=tmp_path) for part in BAD_CONFIGS[case])
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("nodes_per_axis = 16\nnodes = 3\n", encoding="utf-8")
+    cfg.write_text(text + "\n", encoding="utf-8")
     assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["run failed: line 2: unknown key 'nodes'"]
+    assert captured.err.splitlines() == [f"run failed: {message}"]
     assert not (tmp_path / "out").exists()
