@@ -135,8 +135,8 @@ def _cmd_fit(args) -> int:
 def _cmd_audit(args) -> int:
     from .config import ConfigError, load_config
     from .equilibrium import global_equilibrium
-    from .experiment import audit_proof_chain, build_lattice
-    from .storage import load_csv, snapshot_load
+    from .experiment import audit_snapshots, build_lattice
+    from .storage import SnapshotError, load_csv, snapshot_load
 
     csv_path = args.csv
     snap_dir = args.snapshots
@@ -161,12 +161,15 @@ def _cmd_audit(args) -> int:
     if not names:
         print("audit failed: no snapshots found", file=sys.stderr)
         return 1
-    states = [
-        snapshot_load(os.path.join(snap_dir, name), vgrid=vgrid, sgrid=sgrid)
-        for name in names
-    ]
+    states = (snapshot_load(os.path.join(snap_dir, name), vgrid=vgrid, sgrid=sgrid)
+              for name in names)
     eq = global_equilibrium(records[0].mass, sgrid.volume, vgrid)
-    constants = audit_proof_chain(records, states, kernel=kernel, eq=eq)
+    try:
+        constants = audit_snapshots(records, states, kernel=kernel, eq=eq)
+    except (ValueError, SnapshotError) as exc:
+        # every snapshot on a trajectory end, or one unreadable or off-lattice
+        print(f"audit failed: {exc}", file=sys.stderr)
+        return 1
     for key, value in constants.items():
         if isinstance(value, float):
             print(f"{key} = {value:.12g}")

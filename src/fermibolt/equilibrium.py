@@ -67,7 +67,8 @@ def solve_kappa_many(
     Maintains a sign bracket [lo, hi] per entry; Newton steps that stay
     inside the bracket are taken, anything else bisects. `initial` is a
     warm start (previous kappa field), otherwise the small-kappa linear
-    estimate target / int(M) seeds the iteration.
+    estimate target / int(M) seeds the iteration; a warm start that runs
+    out of iterations restarts from that estimate.
     """
     return _newton(targets, grid, rel_tol, initial)[0]
 
@@ -120,6 +121,9 @@ def _newton(targets, grid: VelocityGrid, rel_tol: float, initial):
             fallback = np.where(np.isinf(hi), 2.0 * np.maximum(kappa, 1.0), 0.5 * (lo + hi))
             np.copyto(trial, fallback, where=~keep)
         kappa = trial
+    if initial is not None:
+        # a warm start far above the root halves its way down too slowly
+        return _newton(targets, grid, rel_tol, None)
     raise RuntimeError(
         f"kappa iteration failed to reach rel_tol={rel_tol:g} "
         f"in {MAX_NEWTON_ITER} steps"

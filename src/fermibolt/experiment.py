@@ -1,15 +1,15 @@
 """Experiment driver: trajectories, decay-rate fits, inequality audits.
 
 A run evolves the split scheme from the cosine-profile initial data,
-streams one diagnostics record every few steps, retains sparse full
+streams one diagnostics record every few steps, writes sparse full
 snapshots, and aborts loudly if conservation, admissibility, or the
-sign of the entropy production ever fails. Records and audited states
-see their moments, field and local projection through one `observe`;
-its kappa warm start is passed in, and the run loop keeps each
-record's kappa in `state.kappa_cache`. Post-processing fits the
-exponential decay rate of the equilibrium distance on the late-time
-window and recomputes both sides of every inequality in the decay
-chain, reporting the empirical extremal constants.
+sign of the entropy production ever fails. Each record sees its
+moments, field and local projection through one `observe`, warm-started
+from the previous record's kappa; each snapshot record is folded into
+the audit of the decay chain from that same observation, so no state
+is held for it. Post-processing fits the exponential decay rate of the
+equilibrium distance on the late-time window and finishes the audit's
+record-only terms, reporting the empirical extremal constants.
 """
 from __future__ import annotations
 
@@ -57,6 +57,7 @@ __all__ = [
     "run_experiment",
     "estimate_decay_rate",
     "audit_proof_chain",
+    "audit_snapshots",
     "choose_delta",
     "observe",
     "write_rate_report",
@@ -107,7 +108,6 @@ class RateReport:
 class RunResult:
     records: list
     final_state: PhaseState
-    audit_states: list
     rate_report: RateReport | None
     config: ExperimentConfig
     kernel: CollisionKernel
@@ -137,8 +137,8 @@ def _diagnose(
     kernel: CollisionKernel,
     eq: EquilibriumProfile,
     prev: DiagnosticsRecord | None,
-) -> tuple[DiagnosticsRecord, np.ndarray]:
-    """The record of a state and its kappa field; E and ratio_c6 stay nan until `_couple`.
+) -> tuple[DiagnosticsRecord, tuple]:
+    """The record of a state (E and ratio_c6 nan until `_couple`) and its `observe`.
 
     The projection starts from `state.kappa_cache`, which is left as it is.
     """
@@ -171,7 +171,7 @@ def _diagnose(
         kappa_min=float(np.minimum.reduce(kappa)),
         kappa_max=float(np.maximum.reduce(kappa)),
     )
-    return record, kappa
+    return record, (fields, proj, kappa)
 
 
 def _couple(record: DiagnosticsRecord, delta: float) -> DiagnosticsRecord:
@@ -320,12 +320,13 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
 
     state = init.state.copy()
     records: list[DiagnosticsRecord] = []
-    audit_states: list[PhaseState] = []
+    audit = dict(AUDIT_START)
 
     def on_record(step_index: int, state: PhaseState) -> None:
         prev = records[-1] if records else None
+        record, seen = _diagnose(state, kernel, eq, prev)
         # the run keeps each record's kappa as the next record's warm start
-        record, state.kappa_cache = _diagnose(state, kernel, eq, prev)
+        state.kappa_cache = seen[2]
         _check_record(step_index, record, mass0)
         if step_index == 0:
             # every later state has passed `check_step` inside `step`
@@ -336,7 +337,11 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
                 writer.write(record)
         records.append(record)
         if (len(records) - 1) % SNAPSHOT_STRIDE == 0:
-            audit_states.append(state.copy())
+            # the last step always records, so an end state is known here
+            if step_index in (0, n_steps):
+                audit["samples_skipped"] += 1
+            else:
+                audit_proof_chain(audit, state, seen, record, kernel=kernel, eq=eq)
             if snap_dir is not None:
                 snapshot_dump(
                     state, os.path.join(snap_dir, f"state_{step_index:08d}.snap")
@@ -381,12 +386,9 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     except FitError:
         report = None
     if report is not None:
-        try:
-            report.lemma_constants = audit_proof_chain(
-                records, audit_states, kernel=kernel, eq=eq
-            )
-        except (ValueError, RuntimeError):
-            report.lemma_constants = {}
+        # a fit has FIT_MIN_RECORDS records, so snapshot 10 is interior and audited
+        audited = range(SNAPSHOT_STRIDE, len(records) - 1, SNAPSHOT_STRIDE)
+        report.lemma_constants = _close_audit(audit, audited, records)
         if output_dir is not None:
             write_rate_report(
                 report,
@@ -396,7 +398,6 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     return RunResult(
         records=records,
         final_state=state,
-        audit_states=audit_states,
         rate_report=report,
         config=resolved,
         kernel=kernel,
@@ -455,128 +456,107 @@ def estimate_decay_rate(records, delta: float = math.nan) -> RateReport:
     )
 
 
-def _density_rate(j1: np.ndarray, sgrid: SpatialGrid) -> np.ndarray:
-    """Instantaneous d rho / dt from the semi-discrete continuity law.
+# the audit's running constants before its first sample, in report order
+AUDIT_START = {
+    "c1_min": np.inf,
+    "c2_max_ratio": 0.0,
+    "c3_min": np.inf,
+    "c4_min": np.inf,
+    "c5_max": 0.0,
+    "c6_min": np.inf,
+    "c7_max": 0.0,
+    "c8_max": 0.0,
+    "c9_min": np.inf,
+    "c10_max": -np.inf,
+    "c11_max": -np.inf,
+    "gronwall_ratio_min": np.inf,
+    "step1_excess_max": -np.inf,
+    "samples_used": 0,
+    "samples_skipped": 0,
+}
 
-    The current of a projected state vanishes exactly on the mirror
-    lattice, so this rate sees only the fluctuation part of f, which is
-    what the bound on the corrector's time derivative is about.
+
+def audit_proof_chain(out: dict, state: PhaseState, seen: tuple, record: DiagnosticsRecord,
+                      *, kernel: CollisionKernel, eq: EquilibriumProfile) -> None:
+    """Fold one interior snapshot state, its `observe` and its record into `out`.
+
+    Recomputes both sides of every inequality that needs the full state; a
+    record distance below AUDIT_DIST_FLOOR supports no ratio and is skipped.
     """
-    return -centered_gradient(j1, sgrid)
+    vg, sg = state.vgrid, state.sgrid
+    fields, proj, kappa = seen
+    dl, dh = record.dist_local, record.dist_hydro
+    q_coll = apply_collision(state.f, kernel, vg)
+
+    # the operator bound; c1, and its skip count, come from the records
+    if dl > AUDIT_DIST_FLOOR:
+        q_norm = weighted_norm(q_coll, vg, sg)
+        out["c2_max_ratio"] = max(out["c2_max_ratio"], q_norm / dl)
+
+    # pointwise profile-vs-moment comparisons
+    dkap = kappa - eq.kappa
+    drho = fields.rho - eq.density
+    keep = np.abs(dkap) > 1e-9 * eq.kappa
+    if np.any(keep):
+        dev = (proj[keep] - eq.profile[None, :]) / vg.maxwellian[None, :]
+        dev_sq = dev * dev
+        rk_rhs = (dkap[keep] * drho[keep])[:, None]
+        out["c3_min"] = min(out["c3_min"], float(np.min(rk_rhs / dev_sq)))
+        rr = (drho[keep] ** 2)[:, None] / dev_sq
+        out["c4_min"] = min(out["c4_min"], float(np.min(rr)))
+        out["c5_max"] = max(out["c5_max"], float(np.max(rr)))
+
+    # corrector's time derivative: the potential's motion against the
+    # current. d rho / dt = -d j1 / dx is the semi-discrete continuity law;
+    # the current of a projected state vanishes exactly on the mirror
+    # lattice, so this rate sees only the fluctuation part of f.
+    _, dgrad_dt = solve_poisson(-centered_gradient(fields.j[:, 0], sg), 0.0, sg)
+    s1 = float(np.sum(dgrad_dt * fields.j[:, 0])) * sg.spacing
+    out["step1_excess_max"] = max(out["step1_excess_max"], s1 - vg.dim * dl**2)
+
+    # hydrodynamic coercivity and the two cross terms
+    if dh > AUDIT_DIST_FLOOR:
+        q_second = integrate(
+            (proj - eq.profile[None, :]) * (vg.first_axis**2)[None, :], vg
+        )
+        t1 = -float(np.sum(fields.grad_phi * centered_gradient(q_second, sg))) * sg.spacing
+        out["c9_min"] = min(out["c9_min"], -t1 / dh**2)
+        if dl > AUDIT_DIST_FLOOR:
+            dx_g = centered_gradient(state.f - proj, sg)
+            flux2 = integrate(dx_g * (vg.first_axis**2)[None, :], vg)
+            t2 = -float(np.sum(fields.grad_phi * flux2)) * sg.spacing
+            out["c10_max"] = max(out["c10_max"], t2 / (dl * dh))
+            flux_q = integrate(q_coll * vg.first_axis[None, :], vg)
+            t3 = float(np.sum(fields.grad_phi * flux_q)) * sg.spacing
+            out["c11_max"] = max(out["c11_max"], t3 / (dl * dh))
+    out["samples_used"] += 1
 
 
-def audit_proof_chain(records, states, *, kernel: CollisionKernel,
-                      eq: EquilibriumProfile) -> dict:
-    """Recompute both sides of every inequality in the decay chain.
+def _close_audit(out: dict, audited, records) -> dict:
+    """Add the terms that need only records to `out`, which folded records `audited`.
 
-    Returns the empirical extremal constants; every value the argument
-    requires to be positive must come out positive on a healthy run.
-    Samples whose distances fall below AUDIT_DIST_FLOOR cannot support a
-    ratio and are skipped (the skip count is part of the result), and
-    entropy-based ratios additionally require the entropy itself to sit
-    above its round-off noise floor.
+    Entropy-based ratios need the entropy above its round-off noise floor.
     """
-    if not states:
-        raise ValueError("no audit states supplied")
+    if not audited:
+        raise ValueError("every audit sample fell on the trajectory ends")
     t = np.array([r.t for r in records])
     entropy = np.array([r.H for r in records])
     lyap = np.array([r.E for r in records])
     dist_total = np.array([r.dist_total for r in records])
     pairing = np.array([r.pairing for r in records])
 
-    out = {
-        "c1_min": np.inf,
-        "c2_max_ratio": 0.0,
-        "c3_min": np.inf,
-        "c4_min": np.inf,
-        "c5_max": 0.0,
-        "c6_min": np.inf,
-        "c7_max": 0.0,
-        "c8_max": 0.0,
-        "c9_min": np.inf,
-        "c10_max": -np.inf,
-        "c11_max": -np.inf,
-        "gronwall_ratio_min": np.inf,
-        "step1_excess_max": -np.inf,
-        "samples_used": 0,
-        "samples_skipped": 0,
-    }
-    audited_indices = []
-    for state in states:
-        vg, sg = state.vgrid, state.sgrid
-        matches = np.nonzero(np.abs(t - state.time) <= 1e-9 * max(1.0, abs(state.time)))[0]
-        if matches.size == 0:
-            raise ValueError(
-                f"snapshot at t = {state.time:.6g} has no matching record"
-            )
-        k = int(matches[0])
-        if k == 0 or k == len(records) - 1:
-            out["samples_skipped"] += 1
-            continue
-        audited_indices.append(k)
-        f = state.f
-        fields, proj, kappa = observe(f, eq, state.kappa_cache, vg, sg)
-        rho, j, grad_phi = fields.rho, fields.j, fields.grad_phi
-        dl = weighted_norm(f, vg, sg, proj)
-        dh = weighted_norm(proj, vg, sg, eq.profile)
-        q_coll = apply_collision(f, kernel, vg)
-
-        # entropy production vs local distance, and the operator bound
-        ent_floor = ENTROPY_NOISE_FACTOR * max(entropy[0], 0.0)
-        if dl > AUDIT_DIST_FLOOR:
-            q_norm = weighted_norm(q_coll, vg, sg)
-            out["c2_max_ratio"] = max(out["c2_max_ratio"], q_norm / dl)
-            if min(entropy[k - 1], entropy[k + 1]) > ent_floor:
-                dhdt = (entropy[k + 1] - entropy[k - 1]) / (t[k + 1] - t[k - 1])
-                out["c1_min"] = min(out["c1_min"], -dhdt / dl**2)
-            else:
-                out["samples_skipped"] += 1
+    # entropy production vs local distance
+    ent_floor = ENTROPY_NOISE_FACTOR * max(entropy[0], 0.0)
+    for k in audited:
+        dl = records[k].dist_local
+        if dl > AUDIT_DIST_FLOOR and min(entropy[k - 1], entropy[k + 1]) > ent_floor:
+            dhdt = (entropy[k + 1] - entropy[k - 1]) / (t[k + 1] - t[k - 1])
+            out["c1_min"] = min(out["c1_min"], -dhdt / dl**2)
         else:
             out["samples_skipped"] += 1
 
-        # pointwise profile-vs-moment comparisons
-        dkap = kappa - eq.kappa
-        drho = rho - eq.density
-        keep = np.abs(dkap) > 1e-9 * eq.kappa
-        if np.any(keep):
-            dev = (proj[keep] - eq.profile[None, :]) / vg.maxwellian[None, :]
-            dev_sq = dev * dev
-            rk_rhs = (dkap[keep] * drho[keep])[:, None]
-            out["c3_min"] = min(out["c3_min"], float(np.min(rk_rhs / dev_sq)))
-            rr = (drho[keep] ** 2)[:, None] / dev_sq
-            out["c4_min"] = min(out["c4_min"], float(np.min(rr)))
-            out["c5_max"] = max(out["c5_max"], float(np.max(rr)))
-
-        # corrector's time derivative: the potential's motion against the current
-        rate = _density_rate(j[:, 0], sg)
-        _, dgrad_dt = solve_poisson(rate, 0.0, sg)
-        s1 = float(np.sum(dgrad_dt * j[:, 0])) * sg.spacing
-        out["step1_excess_max"] = max(out["step1_excess_max"], s1 - vg.dim * dl**2)
-
-        # hydrodynamic coercivity and the two cross terms
-        if dh > AUDIT_DIST_FLOOR:
-            q_second = integrate(
-                (proj - eq.profile[None, :]) * (vg.first_axis**2)[None, :], vg
-            )
-            t1 = -float(np.sum(grad_phi * centered_gradient(q_second, sg))) * sg.spacing
-            out["c9_min"] = min(out["c9_min"], -t1 / dh**2)
-            if dl > AUDIT_DIST_FLOOR:
-                g_dev = f - proj
-                dx_g = (np.roll(g_dev, -1, axis=0) - np.roll(g_dev, 1, axis=0)) / (
-                    2.0 * sg.spacing
-                )
-                flux2 = integrate(dx_g * (vg.first_axis**2)[None, :], vg)
-                t2 = -float(np.sum(grad_phi * flux2)) * sg.spacing
-                out["c10_max"] = max(out["c10_max"], t2 / (dl * dh))
-                flux_q = integrate(q_coll * vg.first_axis[None, :], vg)
-                t3 = float(np.sum(grad_phi * flux_q)) * sg.spacing
-                out["c11_max"] = max(out["c11_max"], t3 / (dl * dh))
-        out["samples_used"] += 1
-
-    if not audited_indices:
-        raise ValueError("every audit sample fell on the trajectory ends")
-    lo, hi = min(audited_indices), max(audited_indices)
-    window = range(max(lo, 1), min(hi, len(records) - 2) + 1)
+    # the audited records are interior, so the window is too
+    window = range(min(audited), max(audited) + 1)
     lyap_floor = ENTROPY_NOISE_FACTOR * max(lyap[0], 0.0)
     for i in window:
         if lyap[i] > lyap_floor:
@@ -589,6 +569,28 @@ def audit_proof_chain(records, states, *, kernel: CollisionKernel,
                 out["c7_max"] = max(out["c7_max"], ratio)
             out["c8_max"] = max(out["c8_max"], abs(pairing[i]) / dist_total[i] ** 2)
     return out
+
+
+def audit_snapshots(records, states, *, kernel: CollisionKernel,
+                    eq: EquilibriumProfile) -> dict:
+    """A finished run's audit constants: each snapshot observed, then folded as in the run."""
+    t = np.array([r.t for r in records])
+    out = dict(AUDIT_START)
+    audited = []
+    for state in states:
+        matches = np.nonzero(np.abs(t - state.time) <= 1e-9 * max(1.0, abs(state.time)))[0]
+        if matches.size == 0:
+            raise ValueError(
+                f"snapshot at t = {state.time:.6g} has no matching record"
+            )
+        k = int(matches[0])
+        if k == 0 or k == len(records) - 1:
+            out["samples_skipped"] += 1
+            continue
+        audited.append(k)
+        seen = observe(state.f, eq, state.kappa_cache, state.vgrid, state.sgrid)
+        audit_proof_chain(out, state, seen, records[k], kernel=kernel, eq=eq)
+    return _close_audit(out, audited, records)
 
 
 def write_rate_report(report: RateReport, txt_path: str, kv_path: str) -> None:

@@ -24,6 +24,7 @@ from fermibolt.functionals import dissipation, relative_entropy
 from fermibolt.velocity import build_velocity_grid, integrate
 
 import _bruteforce as bf
+from _artifacts import snapshot_states
 
 
 def _report(num, name, ok, detail=""):
@@ -209,7 +210,7 @@ def test_criterion_08_bruteforce_equivalence(tiny_run):
             return 0.0
         return abs(pkg_value - bf_value) / abs(bf_value)
 
-    for state in tiny_run.audit_states:
+    for state in snapshot_states(tiny_run.output_dir):
         k = int(np.argmin(np.abs(t_rec - state.time)))
         rec = tiny_run.records[k]
         f = state.f

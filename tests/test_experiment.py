@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -22,16 +23,21 @@ from fermibolt.experiment import (
     SNAPSHOT_STRIDE,
     FitError,
     InvariantViolation,
-    audit_proof_chain,
+    audit_snapshots,
+    build_lattice,
     choose_delta,
     estimate_decay_rate,
     run_experiment,
 )
+from fermibolt.equilibrium import global_equilibrium
+from fermibolt.evolution import PhaseState
+from fermibolt.fields import build_spatial_grid
 from fermibolt.functionals import DiagnosticsRecord
-from fermibolt.storage import CsvWriter, load_csv
+from fermibolt.storage import CsvWriter, load_csv, snapshot_dump
 from fermibolt.velocity import build_velocity_grid
 
 import _bruteforce as bf
+from _artifacts import snapshot_states
 
 
 def _fake_records(t, dist, lyap):
@@ -384,8 +390,9 @@ def test_invariant_violation_attributes():
 # ------------------------------------------------------------------- audit
 
 def test_audit_requires_states(tiny_run):
-    with pytest.raises(ValueError, match="no audit states"):
-        audit_proof_chain(
+    # no state leaves no interior sample, as when every snapshot is an end
+    with pytest.raises(ValueError, match="every audit sample fell on the trajectory ends"):
+        audit_snapshots(
             tiny_run.records,
             [],
             kernel=tiny_run.kernel,
@@ -394,15 +401,46 @@ def test_audit_requires_states(tiny_run):
 
 
 def test_audit_rejects_unmatched_snapshot(tiny_run):
-    bad = tiny_run.audit_states[1].copy()
+    bad = snapshot_states(tiny_run.output_dir)[1]
     bad.time += 977.0
     with pytest.raises(ValueError, match="no matching record"):
-        audit_proof_chain(
+        audit_snapshots(
             tiny_run.records,
             [bad],
             kernel=tiny_run.kernel,
             eq=tiny_run.equilibrium,
         )
+
+
+def _audit_from_artifacts(out_dir):
+    """What `fermibolt audit` computes from a run directory, as a dict."""
+    snap_dir = os.path.join(out_dir, "snapshots")
+    config = load_config(os.path.join(snap_dir, "manifest.cfg"))
+    vgrid, sgrid, kernel = build_lattice(config)
+    records, warnings = load_csv(os.path.join(out_dir, "diagnostics.csv"))
+    assert warnings == 0
+    eq = global_equilibrium(records[0].mass, sgrid.volume, vgrid)
+    return audit_snapshots(records, snapshot_states(out_dir), kernel=kernel, eq=eq)
+
+
+@pytest.fixture(scope="module")
+def auto_delta_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("auto_delta_run")
+    config = ExperimentConfig(nodes_per_axis=16, spatial_cells=16, transport="muscl2",
+                              t_final=8.0, record_every=5, delta=None)
+    return run_experiment(config, output_dir=str(out))
+
+
+@pytest.mark.parametrize("name", ["tiny_run", "auto_delta_run"], ids=["pinned", "auto"])
+def test_run_and_post_hoc_audits_agree_bitwise(name, request):
+    # the run folds each snapshot record from its own observation; the
+    # post-hoc audit reads the snapshot back and observes it again
+    result = request.getfixturevalue(name)
+    constants = result.rate_report.lemma_constants
+    assert constants["samples_used"] >= 1
+    post_hoc = _audit_from_artifacts(result.output_dir)
+    assert list(post_hoc) == list(constants)
+    assert post_hoc == constants
 
 
 def test_audit_constants_on_tiny_run(tiny_run):
@@ -419,7 +457,7 @@ def test_audit_constants_on_tiny_run(tiny_run):
 def test_audit_c2_is_the_norm_probe_ratio(tiny_run):
     # the audit skips the first and the last record's state
     n = len(tiny_run.records)
-    states = [state for i, state in enumerate(tiny_run.audit_states)
+    states = [state for i, state in enumerate(snapshot_states(tiny_run.output_dir))
               if SNAPSHOT_STRIDE * i not in (0, n - 1)]
     sg = tiny_run.final_state.sgrid
     value, _, degenerate = bf.collision_norm_probe(
@@ -455,7 +493,7 @@ def test_run_artifacts_complete(default_run):
 
     snaps = sorted(n for n in os.listdir(snap_dir) if n.endswith(".snap"))
     assert snaps[0] == "state_00000000.snap"
-    assert len(snaps) == len(default_run.audit_states)
+    assert len(snaps) == len(range(0, len(default_run.records), SNAPSHOT_STRIDE))
 
     kv = {}
     with open(os.path.join(out, "rate_report.kv"), encoding="utf-8") as fh:
@@ -541,6 +579,47 @@ def test_cli_audit_reports_a_bad_manifest(cli_run_dir, tmp_path, capsys, line):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("audit failed: ")
+
+
+def _audit_fails(csv, snap_dir, capsys):
+    assert cli.main(["audit", str(csv), str(snap_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("audit failed: ")
+    return err[0]
+
+
+def test_cli_audit_reports_snapshots_on_the_ends_only(tmp_path, capsys):
+    # 100 steps of dt = 0.015 make 11 records: snapshots 0 and 10 are the ends
+    config = ExperimentConfig(nodes_per_axis=16, spatial_cells=16, t_final=1.5,
+                              record_every=10)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(format_config(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    snaps = sorted(p.name for p in (out / "snapshots").glob("*.snap"))
+    assert snaps == ["state_00000000.snap", "state_00000100.snap"]
+    line = _audit_fails(out / "diagnostics.csv", out / "snapshots", capsys)
+    assert line == "audit failed: every audit sample fell on the trajectory ends"
+
+
+@pytest.mark.parametrize("damage", ["truncated", "other-lattice"])
+def test_cli_audit_reports_a_bad_snapshot(cli_run_dir, tmp_path, capsys, damage):
+    snap_dir = tmp_path / "snapshots"
+    shutil.copytree(cli_run_dir / "snapshots", snap_dir)
+    victim = sorted(snap_dir.glob("*.snap"))[1]
+    if damage == "truncated":
+        victim.write_bytes(victim.read_bytes()[:20])
+        want = "is too short to be a snapshot"
+    else:
+        vgrid, sgrid = build_velocity_grid(1, 8.0, 8), build_spatial_grid(16)
+        snapshot_dump(PhaseState(f=np.full((16, 8), 0.5), time=0.0, vgrid=vgrid,
+                                 sgrid=sgrid), str(victim))
+        want = "was written on a different velocity lattice"
+    line = _audit_fails(cli_run_dir / "diagnostics.csv", snap_dir, capsys)
+    assert line == f"audit failed: {victim} {want}"
 
 
 def test_cli_threads_pins_environment(cli_run_dir, monkeypatch):

@@ -218,7 +218,9 @@ def test_lyapunov_reduces_to_entropy(vgrid, sgrid):
     )
     # the run forms E in `_couple`, from the record's own H and pairing
     state = PhaseState(f=f, time=0.0, vgrid=vgrid, sgrid=sgrid)
-    record, _ = _diagnose(state, build_kernel("constant", vgrid), eq, None)
+    record, (seen, _, _) = _diagnose(state, build_kernel("constant", vgrid), eq, None)
+    # the observation `_diagnose` hands on is the one the record was made from
+    assert np.array_equal(seen.grad_phi, grad) and np.array_equal(seen.j, j)
     for delta in (0.0, 0.01):
         lyap = bf.lyapunov_functional(f, eq.profile, fields, delta, vgrid, sgrid)
         assert _couple(record, delta).E == lyap

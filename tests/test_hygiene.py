@@ -1,16 +1,22 @@
-"""Source hygiene: no unused import and no unused function parameter in src/.
+"""Source hygiene: no unused import and no unused function parameter in src/,
+and every attribute the benchmark's tracer wraps still exists.
 
 An AST scan of every module of the package. A name counts as used when
 it is loaded anywhere in its module (annotations included) or listed in
 `__all__`; a parameter counts as used when its function body loads it.
 """
 import ast
+import importlib
 import pathlib
 
 import fermibolt
 
 PACKAGE = pathlib.Path(fermibolt.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+# wrapped by the tracer outside HOOKS: the set-up mark and the kernel size
+TRACER_EXTRA = (("fermibolt.experiment", "global_equilibrium"),
+                ("fermibolt.experiment", "build_kernel"))
 
 # Signatures a caller fixes: the CLI handlers share `args`; `self`/`cls`
 # and the context-manager protocol need no use.
@@ -81,3 +87,28 @@ def test_no_unused_imports():
 
 def test_no_unused_parameters():
     assert [hit for path in MODULES for hit in unused_parameters(path)] == []
+
+
+def traced_attributes():
+    """(module, dotted attribute) of every entry of the tracer's HOOKS table."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "HOOKS" for target in node.targets
+        ):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError(f"no HOOKS table in {TRACER}")
+
+
+def test_traced_attributes_resolve():
+    # a rename in src/ that drops one would crash every traced benchmark sample
+    hooks = traced_attributes()
+    assert hooks
+    missing = []
+    for module, attribute in hooks + list(TRACER_EXTRA):
+        owner = importlib.import_module(module)
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attribute}")
+    assert missing == []
