@@ -12,6 +12,7 @@ module imports the solver lazily inside each command handler.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -83,6 +84,7 @@ def _cmd_run(args) -> int:
     from .config import ConfigError, load_config
     from .experiment import run_experiment
 
+    gc.freeze()  # the import-time objects live to exit; spare them every collection pass
     try:
         config = load_config(args.config)
         if args.seed is not None:
@@ -112,13 +114,29 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
-    from .experiment import FitError, estimate_decay_rate
+def _read_records(path: str, command: str):
+    """The records of a diagnostics CSV, or None after one `<command> failed:` line."""
     from .storage import load_csv
 
-    records, n_warnings = load_csv(args.csv)
+    try:
+        records, n_warnings = load_csv(path)
+    except (OSError, ValueError) as exc:
+        print(f"{command} failed: {exc}", file=sys.stderr)
+        return None
     if n_warnings:
         print(f"warning: {n_warnings} truncated trailing line ignored", file=sys.stderr)
+    if not records:
+        print(f"{command} failed: {path} holds no records", file=sys.stderr)
+        return None
+    return records
+
+
+def _cmd_fit(args) -> int:
+    from .experiment import FitError, estimate_decay_rate
+
+    records = _read_records(args.csv, "fit")
+    if records is None:
+        return 1
     try:
         report = estimate_decay_rate(records, args.delta)
     except FitError as exc:
@@ -136,7 +154,7 @@ def _cmd_audit(args) -> int:
     from .config import ConfigError, load_config
     from .equilibrium import global_equilibrium
     from .experiment import audit_snapshots, build_lattice
-    from .storage import SnapshotError, load_csv, snapshot_load
+    from .storage import SnapshotError, snapshot_load
 
     csv_path = args.csv
     snap_dir = args.snapshots
@@ -154,9 +172,9 @@ def _cmd_audit(args) -> int:
     if config.delta is None:
         print("audit failed: manifest does not pin delta", file=sys.stderr)
         return 1
-    records, n_warnings = load_csv(csv_path)
-    if n_warnings:
-        print(f"warning: {n_warnings} truncated trailing line ignored", file=sys.stderr)
+    records = _read_records(csv_path, "audit")
+    if records is None:
+        return 1
     names = sorted(n for n in os.listdir(snap_dir) if n.endswith(".snap"))
     if not names:
         print("audit failed: no snapshots found", file=sys.stderr)

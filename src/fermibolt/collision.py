@@ -14,7 +14,9 @@ Every evaluation goes through the kernel's scatter map
 (S g)_i = sum_j w_j sigma_ij g_j, which uses the structure of the
 built-in kernels instead of a dense table: `constant` is rank one and
 `gaussian_bump` is a constant plus a Gaussian that factors by velocity
-axis. Only `custom_table` keeps its dense table.
+axis, contracted by BLAS matmul. Only `custom_table` keeps its dense
+table. The determinism acceptance test checks that the output does not
+depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -59,21 +61,22 @@ class CollisionKernel:
         """(S g)_i = sum_j w_j sigma_ij g_j over the last axis of g.
 
         The rank-one form returns a length-one node axis, which
-        broadcasts against g. Every contraction is an einsum without
-        `optimize`, so no threaded BLAS call runs.
+        broadcasts against g. The Gaussian part is a BLAS matmul, one
+        (cells, n) x (n, n) product in 1-d and two n x n products per cell
+        in 2-d; the dense table goes through einsum.
         """
         if self.table is not None:
             return self.node_weight * np.einsum("ij,...j->...i", self.table, g)
         flat = (self.node_weight * self.level) * np.add.reduce(g, axis=-1, keepdims=True)
         if self.bump is None:
             return flat
+        # bump is symmetric, so B g is g @ B and B g B^T is (B @ g) @ B
         if self.dim == 1:
-            gauss = np.einsum("ij,...j->...i", self.bump, g)
+            gauss = g @ self.bump
         else:
             n = self.bump.shape[0]
             cube = g.reshape(g.shape[:-1] + (n, n))
-            rows = np.einsum("ac,...cd->...ad", self.bump, cube)
-            gauss = np.einsum("...ad,bd->...ab", rows, self.bump).reshape(g.shape)
+            gauss = ((self.bump @ cube) @ self.bump).reshape(g.shape)
         return flat + (0.5 * self.node_weight) * gauss
 
 
@@ -167,11 +170,11 @@ def apply_collision(f: np.ndarray, kernel: CollisionKernel,
     - constant: sigma0 * (w . g), rank one;
     - gaussian_bump: (w . g) + 0.5 * B g, with B the weighted per-axis
       Gaussian factor; in 2-d the second term is 0.5 * B g B^T on the
-      `ij` node grid, two n_axis-sized products per cell;
+      `ij` node grid, two n_axis-sized matmuls per cell;
     - custom_table: the dense weighted table.
 
-    All contractions go through einsum so the result does not depend on
-    BLAS threading.
+    That the result does not depend on the BLAS thread count is checked
+    by the determinism acceptance test.
     """
     f = np.asarray(f, dtype=float)
     single = f.ndim == 1

@@ -106,7 +106,9 @@ def _newton(targets, grid: VelocityGrid, rel_tol: float, initial):
         done = np.abs(resid) <= tol
         if done.all():
             return kappa, profile
-        slope = np.add.reduce(m / (denom * denom) * w, axis=-1)
+        # far above the root denom * denom overflows: the slope is 0, so bisect
+        with np.errstate(over="ignore"):
+            slope = np.add.reduce(m / (denom * denom) * w, axis=-1)
         below = resid < 0.0
         np.maximum(lo, kappa, out=lo, where=below)
         np.minimum(hi, kappa, out=hi, where=~below)

@@ -278,10 +278,20 @@ def test_criterion_10_determinism(tmp_path):
         "default": ExperimentConfig(
             nodes_per_axis=16, spatial_cells=16, t_final=2.0, record_every=5
         ),
-        # d_v = 2 runs the axis-separable Gaussian contractions
+        # d_v = 2 runs the axis-separable Gaussian contractions as matmuls
         "bump2d": ExperimentConfig(
             d_v=2, nodes_per_axis=16, spatial_cells=8, kernel="gaussian_bump",
             t_final=0.2, record_every=5,
+        ),
+        # the default d_v = 2 lattice: one 64 x 64 x 64 product per cell
+        "bump2d_64sq": ExperimentConfig(
+            d_v=2, nodes_per_axis=64, spatial_cells=4, kernel="gaussian_bump",
+            t_final=0.01, record_every=1,
+        ),
+        # one 128 x 64 x 64 product, which OpenBLAS splits across threads
+        "bump1d_128": ExperimentConfig(
+            nodes_per_axis=64, spatial_cells=128, kernel="gaussian_bump",
+            t_final=0.05, record_every=5,
         ),
     }
     identical = True
@@ -290,8 +300,8 @@ def test_criterion_10_determinism(tmp_path):
         cfg_path = tmp_path / f"{label}.cfg"
         cfg_path.write_text(format_config(config), encoding="utf-8")
         outputs = []
-        for threads, sub in ((1, "one"), (4, "four")):
-            out_dir = tmp_path / label / sub
+        for threads in (1, 2, 4):
+            out_dir = tmp_path / label / str(threads)
             proc = subprocess.run(
                 [
                     sys.executable,
@@ -309,11 +319,11 @@ def test_criterion_10_determinism(tmp_path):
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append((out_dir / "diagnostics.csv").read_bytes())
-        identical = identical and outputs[0] == outputs[1]
+        identical = identical and outputs[0] == outputs[1] == outputs[2]
         sizes.append(f"{label} {len(outputs[0])} bytes")
     _report(
         10,
         "determinism",
         identical,
-        f"{', '.join(sizes)}, thread counts 1 vs 4",
+        f"{', '.join(sizes)}, thread counts 1, 2 and 4",
     )

@@ -547,6 +547,22 @@ def test_cli_fit_reports_failure(tmp_path, capsys):
     assert "fit failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "audit"])
+@pytest.mark.parametrize("content", ["empty", "header-only", "malformed"])
+def test_cli_reports_a_bad_csv(cli_run_dir, tmp_path, capsys, command, content):
+    csv = tmp_path / "diagnostics.csv"
+    lines = (cli_run_dir / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
+    text = {"empty": "", "header-only": lines[0] + "\n",
+            "malformed": "\n".join([lines[0], "1,2", lines[1]]) + "\n"}[content]
+    csv.write_text(text, encoding="utf-8")
+    snapshots = [str(cli_run_dir / "snapshots")] if command == "audit" else []
+    assert cli.main([command, str(csv)] + snapshots) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{command} failed: {csv}")
+
+
 def test_cli_audit(cli_run_dir, capsys):
     rc = cli.main(
         ["audit", str(cli_run_dir / "diagnostics.csv"), str(cli_run_dir / "snapshots")]

@@ -1,7 +1,8 @@
 """The record pass: `observe` and `_diagnose` against the pre-observe oracle.
 
 Every record field and every kappa field must equal the oracle's bit for
-bit; the traced layer functions must each see one call per record.
+bit, except D of a gaussian_bump run, which must agree to D_REL_TOL; the
+traced layer functions must each see one call per record.
 """
 import math
 
@@ -13,6 +14,7 @@ from fermibolt.collision import build_kernel
 from fermibolt.config import ExperimentConfig, format_config
 from fermibolt.equilibrium import fermi_profile, project, solve_kappa_many
 from fermibolt.experiment import AUDIT_DIST_FLOOR, SNAPSHOT_STRIDE, observe, run_experiment
+from fermibolt.functionals import RECORD_FIELDS
 from fermibolt.velocity import build_velocity_grid, integrate
 
 import _bruteforce as bf
@@ -29,8 +31,11 @@ TRAJECTORIES = {
 }
 
 
-def _bits(records):
-    return np.array([r.as_row() for r in records]).tobytes()
+D_REL_TOL = 1e-14  # column D of a gaussian_bump run against the einsum oracle
+
+
+def _columns(records):
+    return np.array([r.as_row() for r in records])
 
 
 @pytest.fixture(scope="module", params=sorted(TRAJECTORIES))
@@ -42,7 +47,14 @@ def observed_run(request, tmp_path_factory):
 def test_records_match_seed_oracle_bitwise(observed_run):
     records, kappas = bf.seed_records(observed_run)
     assert len(records) == len(observed_run.records) > 10
-    assert _bits(observed_run.records) == _bits(records)
+    got, want = _columns(observed_run.records), _columns(records)
+    if observed_run.kernel.kind == "gaussian_bump":
+        # D goes through kernel.scatter, whose Gaussian part is a BLAS matmul;
+        # the oracle keeps the einsum, so the sums round differently
+        d = RECORD_FIELDS.index("D")
+        assert np.allclose(got[:, d], want[:, d], rtol=D_REL_TOL, atol=0.0)
+        got[:, d] = want[:, d]
+    assert got.tobytes() == want.tobytes()
     # the kappa field each record leaves as the next warm start
     states = snapshot_states(observed_run.output_dir)
     assert len(states) == len(range(0, len(records), SNAPSHOT_STRIDE))
@@ -99,12 +111,12 @@ def test_solve_kappa_many_matches_seed_oracle_outside_the_bracket(kappa_targets,
     assert np.array_equal(got, bf.seed_solve_kappa_many(targets, grid, initial=initial))
 
 
+@pytest.mark.filterwarnings("error")  # the first slopes overflow, without a warning
 def test_solve_kappa_many_restarts_a_runaway_warm_start_cold(kappa_targets):
     # From 1e300 the bisection halves for over 900 steps, past MAX_NEWTON_ITER;
     # the solve then restarts from the cold estimate.
     grid, targets = kappa_targets
-    with np.errstate(over="ignore"):  # the first slopes overflow to zero
-        got = solve_kappa_many(targets, grid, initial=np.full_like(targets, 1e300))
+    got = solve_kappa_many(targets, grid, initial=np.full_like(targets, 1e300))
     assert np.array_equal(got, solve_kappa_many(targets, grid))
 
 
