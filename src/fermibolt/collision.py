@@ -17,6 +17,11 @@ built-in kernels instead of a dense table: `constant` is rank one and
 axis, contracted by BLAS matmul. Only `custom_table` keeps its dense
 table. The determinism acceptance test checks that the output does not
 depend on the BLAS thread count.
+
+`scatter` and `apply_collision` take numpy-style `out=` buffers and
+`work=` scratch rows, so a run's step builds Q in its plan's workspace
+without a full-size temporary. Called without them they allocate what
+they need; the float operations and their order are the same either way.
 """
 from __future__ import annotations
 
@@ -34,7 +39,12 @@ __all__ = [
     "load_kernel_table",
     "apply_collision",
     "collision_dt_ceiling",
+    "TABLE_BUDGET_BYTES",
 ]
+
+# Largest dense custom_table `load_kernel_table` accepts, as float64 bytes.
+# The parse holds a Python float per value, several times this size.
+TABLE_BUDGET_BYTES = 64 * 2**20
 
 @dataclass(frozen=True)
 class CollisionKernel:
@@ -57,27 +67,40 @@ class CollisionKernel:
     bump: np.ndarray | None = None   # (n_axis, n_axis) exp(-(u_a - u_b)^2 / 2)
     table: np.ndarray | None = None  # (n_nodes, n_nodes), custom_table only
 
-    def scatter(self, g: np.ndarray) -> np.ndarray:
+    def scatter(self, g: np.ndarray, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
         """(S g)_i = sum_j w_j sigma_ij g_j over the last axis of g.
 
         The rank-one form returns a length-one node axis, which
-        broadcasts against g. The Gaussian part is a BLAS matmul, one
-        (cells, n) x (n, n) product in 1-d and two n x n products per cell
-        in 2-d; the dense table goes through einsum.
+        broadcasts against g, and leaves `out` alone. Every other form
+        writes the full result into `out`, a C-contiguous array of g's
+        shape, allocated when None. The Gaussian part is a BLAS matmul,
+        one (cells, n) x (n, n) product in 1-d and two n x n products per
+        cell in 2-d, the first of which lands in `work` (same shape as
+        `out`, allocated when None); the dense table goes through einsum.
         """
         if self.table is not None:
-            return self.node_weight * np.einsum("ij,...j->...i", self.table, g)
+            out = np.einsum("ij,...j->...i", self.table, g, out=out)
+            out *= self.node_weight
+            return out
         flat = (self.node_weight * self.level) * np.add.reduce(g, axis=-1, keepdims=True)
         if self.bump is None:
             return flat
+        if out is None:
+            out = np.empty(g.shape)
         # bump is symmetric, so B g is g @ B and B g B^T is (B @ g) @ B
         if self.dim == 1:
-            gauss = g @ self.bump
+            np.matmul(g, self.bump, out=out)
         else:
             n = self.bump.shape[0]
-            cube = g.reshape(g.shape[:-1] + (n, n))
-            gauss = ((self.bump @ cube) @ self.bump).reshape(g.shape)
-        return flat + (0.5 * self.node_weight) * gauss
+            cubes = g.shape[:-1] + (n, n)
+            if work is None:
+                work = np.empty(g.shape)
+            half = np.matmul(self.bump, g.reshape(cubes), out=work.reshape(cubes, copy=False))
+            np.matmul(half, self.bump, out=out.reshape(cubes, copy=False))
+        out *= 0.5 * self.node_weight
+        out += flat
+        return out
 
 
 def collision_dt_ceiling(kernel: CollisionKernel, vgrid: VelocityGrid) -> float:
@@ -125,8 +148,10 @@ def build_kernel(kind: str, grid: VelocityGrid, *, sigma0: float = 1.0,
 def load_kernel_table(path: str, grid: VelocityGrid) -> CollisionKernel:
     """Plain-text table: a header line with N, then N rows of N values.
 
-    N is checked against the lattice before any value is parsed, so a
-    table for another lattice fails at once, not after N^2 floats.
+    N is checked against the lattice, and the N^2 float64 table against
+    TABLE_BUDGET_BYTES, before any value is parsed, so a table for
+    another lattice or one too large to hold fails at once, not after
+    N^2 floats.
     """
     values: list[float] = []
     n = None
@@ -141,6 +166,12 @@ def load_kernel_table(path: str, grid: VelocityGrid) -> CollisionKernel:
                     raise ValueError(
                         f"kernel table {path} declares N={n}, grid has "
                         f"{grid.n_nodes} nodes"
+                    )
+                if 8 * n * n > TABLE_BUDGET_BYTES:
+                    raise ValueError(
+                        f"kernel table {path} declares N={n}: its table takes "
+                        f"{8 * n * n} bytes ({8 * n * n / 2**20:.6g} MiB), over the "
+                        f"{TABLE_BUDGET_BYTES // 2**20} MiB budget"
                     )
                 continue
             values.extend(float(tok) for tok in line.split())
@@ -160,8 +191,9 @@ def load_kernel_table(path: str, grid: VelocityGrid) -> CollisionKernel:
                         table=matrix)
 
 
-def apply_collision(f: np.ndarray, kernel: CollisionKernel,
-                    grid: VelocityGrid) -> np.ndarray:
+def apply_collision(f: np.ndarray, kernel: CollisionKernel, grid: VelocityGrid,
+                    out: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """Evaluate Q(f) for one cell (N,) or a stack of cells (cells, N).
 
     Uses Q = G * (S f) - f * (S G) with G = M (1 - f) and S the kernel's
@@ -173,6 +205,9 @@ def apply_collision(f: np.ndarray, kernel: CollisionKernel,
       `ij` node grid, two n_axis-sized matmuls per cell;
     - custom_table: the dense weighted table.
 
+    For a stack of cells, Q is built in `out` (f's shape), and `work`,
+    three C-contiguous rows of f's shape, holds f * (S G), S f and the 2-d
+    matmul's intermediate; what is None is allocated as needed.
     That the result does not depend on the BLAS thread count is checked
     by the determinism acceptance test.
     """
@@ -183,15 +218,15 @@ def apply_collision(f: np.ndarray, kernel: CollisionKernel,
     if f.shape[-1] != grid.n_nodes:
         raise ValueError(f"state has {f.shape[-1]} nodes, grid {grid.n_nodes}")
     fmin, fmax = float(f.min()), float(f.max())
-    if fmin < 0.0 or fmax > 1.0:
+    if not (fmin >= 0.0 and fmax <= 1.0):  # written so that NaN fails
         raise ValueError(
             f"occupation numbers must lie in [0, 1], found range "
             f"[{fmin:g}, {fmax:g}]"
         )
-    gain_weight = 1.0 - f
-    gain_weight *= grid.maxwellian
-    scattered_gain = kernel.scatter(gain_weight)
-    q = gain_weight  # G * (S f) - f * (S G), built in the G buffer
-    q *= kernel.scatter(f)
-    q -= f * scattered_gain
+    loss, scattered, spare = (None, None, None) if work is None else work
+    q = np.subtract(1.0, f, out=out)  # G * (S f) - f * (S G), built in the G buffer
+    q *= grid.maxwellian
+    loss = np.multiply(f, kernel.scatter(q, out=loss, work=spare), out=loss)
+    q *= kernel.scatter(f, out=scattered, work=spare)
+    q -= loss
     return q[0] if single else q

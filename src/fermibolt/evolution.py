@@ -21,6 +21,16 @@ on every sub-step is what depends on the state: `apply_collision`
 refuses input outside [0, 1], and each collision sub-step checks that
 its result stays in [0, 1]. The run's own mass and sandwich checks come
 in through `step`'s `check` callback.
+
+The plan also holds the step's workspace, `work`: four scratch rows of
+the state's (cells, nodes) shape, allocated once by `plan_step`. Row 0
+holds the first stage of each Strang Heun pair. Rows 1-3 hold the MUSCL
+differences and slope in transport, and f * (S G), S f and the 2-d matmul
+intermediate in `apply_collision`. So no sub-step allocates a full-size
+temporary, yet each returns its result in a freshly allocated array: a
+state a caller holds is never overwritten by a later step. A state whose
+shape is not the plan's is refused, and two threads must not step with
+one plan at once.
 """
 from __future__ import annotations
 
@@ -117,9 +127,13 @@ def initial_state(
     )
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    same_sign = a * b > 0.0
-    return np.where(same_sign, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+def _minmod(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """minmod(a, b) into `out`; b is left holding |b|."""
+    same_sign = np.multiply(a, b, out=out) > 0.0
+    np.minimum(np.abs(a, out=out), np.abs(b, out=b), out=out)
+    np.copysign(out, a, out=out)  # sign(a) min(|a|, |b|): a != 0 wherever it is kept
+    np.copyto(out, 0.0, where=~same_sign)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +152,7 @@ class StepPlan:
     transport_dt: float        # dt / 2 under Strang, dt under Lie
     mu: np.ndarray             # (nodes,) Courant number |v1| transport_dt / dx
     muscl: np.ndarray | None   # (nodes,) -+0.5 mu (1 - mu) by half; None for upwind1
+    work: tuple[np.ndarray, ...]  # four (cells, nodes) scratch rows of the sub-steps
 
 
 def plan_step(kernel: CollisionKernel, vgrid: VelocityGrid, sgrid: SpatialGrid,
@@ -181,13 +196,13 @@ def plan_step(kernel: CollisionKernel, vgrid: VelocityGrid, sgrid: SpatialGrid,
     if config.transport == "muscl2":
         muscl = 0.5 * mu * (1.0 - mu)
         muscl[: vgrid.n_nodes // 2] *= -1.0
-    return StepPlan(kernel, dt, config.splitting, transport_dt, mu, muscl)
+    work = tuple(np.empty((4, sgrid.cells, vgrid.n_nodes)))
+    return StepPlan(kernel, dt, config.splitting, transport_dt, mu, muscl, work)
 
 
-def _upwind_neighbour(a: np.ndarray) -> np.ndarray:
+def _upwind_neighbour(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Row x+1 of `a` on the first half of the node axis, row x-1 on the second."""
     half = a.shape[1] // 2
-    out = np.empty_like(a)
     out[:-1, :half] = a[1:, :half]
     out[-1, :half] = a[0, :half]
     out[1:, half:] = a[:-1, half:]
@@ -195,25 +210,48 @@ def _upwind_neighbour(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _advect_once(f: np.ndarray, plan: StepPlan) -> np.ndarray:
+def _advect_once(f: np.ndarray, plan: StepPlan, out: np.ndarray) -> np.ndarray:
+    """One monotone transport update of f into `out`; MUSCL works in rows 1-3."""
     # f + mu (f_up - f) in increment form: a uniform state stays bitwise
     # fixed, and it is the same float operation as f - mu (f - f_up).
-    f_new = _upwind_neighbour(f)
-    f_new -= f
-    f_new *= plan.mu
-    f_new += f
+    _upwind_neighbour(f, out)
+    out -= f
+    out *= plan.mu
+    out += f
     if plan.muscl is not None:
-        ahead = np.empty_like(f)  # f[x+1] - f[x]
-        np.subtract(f[1:], f[:-1], out=ahead[:-1])
+        ahead, behind, slope = plan.work[1:]
+        np.subtract(f[1:], f[:-1], out=ahead[:-1])  # f[x+1] - f[x]
         np.subtract(f[:1], f[-1:], out=ahead[-1:])
-        behind = np.empty_like(f)  # f[x] - f[x-1]
-        behind[1:] = ahead[:-1]
+        behind[1:] = ahead[:-1]  # f[x] - f[x-1]
         behind[0] = ahead[-1]
-        slope = _minmod(behind, ahead)
-        ds = _upwind_neighbour(slope)
+        _minmod(behind, ahead, slope)
+        ds = _upwind_neighbour(slope, ahead)
         ds -= slope
         ds *= plan.muscl
-        f_new += ds
+        out += ds
+    return out
+
+
+def _sub_step(f: np.ndarray, plan: StepPlan,
+              update: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Lie: update(f). Strang: the Heun pair 0.5 update(update(f)) + 0.5 f.
+
+    `update(g, out)` writes its result into `out`; the Heun stage goes to
+    workspace row 0 and the result to a fresh array. A state of another
+    shape than the plan's is refused.
+    """
+    if f.shape != plan.work[0].shape:
+        raise ValueError(
+            f"state has shape {f.shape}, the step plan {plan.work[0].shape}"
+        )
+    f_new = np.empty_like(f)
+    if plan.splitting == "strang":
+        stage = update(f, plan.work[0])
+        update(stage, f_new)
+        f_new *= 0.5
+        f_new += np.multiply(f, 0.5, out=stage)  # the stage is spent: reuse it
+    else:
+        update(f, f_new)
     return f_new
 
 
@@ -225,12 +263,7 @@ def transport_step(state: PhaseState, plan: StepPlan) -> PhaseState:
     the monotone update guarantees while gaining an order of accuracy in
     dt for the symmetric splitting.
     """
-    f = state.f
-    f_new = _advect_once(f, plan)
-    if plan.splitting == "strang":
-        f_new = _advect_once(f_new, plan)
-        f_new *= 0.5
-        f_new += 0.5 * f
+    f_new = _sub_step(state.f, plan, lambda g, out: _advect_once(g, plan, out))
     return PhaseState(
         f_new, state.time + plan.transport_dt, state.vgrid, state.sgrid,
         state.kappa_cache,
@@ -244,20 +277,17 @@ def collision_step(state: PhaseState, plan: StepPlan) -> PhaseState:
     it inherits the Euler bound preservation while restoring second
     order inside the symmetric splitting.
     """
-    f, dt, kernel = state.f, plan.dt, plan.kernel
-    f_new = apply_collision(f, kernel, state.vgrid)
-    f_new *= dt
-    f_new += f
-    if plan.splitting == "strang":
-        stage = f_new
-        f_new = apply_collision(stage, kernel, state.vgrid)
-        f_new *= dt
-        f_new += stage
-        f_new *= 0.5
-        np.multiply(f, 0.5, out=stage)  # the Euler stage is spent: reuse it
-        f_new += stage
+    dt, kernel, vgrid = plan.dt, plan.kernel, state.vgrid
+
+    def euler(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        q = apply_collision(g, kernel, vgrid, out=out, work=plan.work[1:])
+        q *= dt
+        q += g
+        return q
+
+    f_new = _sub_step(state.f, plan, euler)
     fmin, fmax = float(f_new.min()), float(f_new.max())
-    if fmin < 0.0 or fmax > 1.0:
+    if not (fmin >= 0.0 and fmax <= 1.0):  # written so that NaN fails
         raise RuntimeError(
             f"collision step left [0, 1] (range [{fmin:g}, {fmax:g}]); "
             "the step-size logic is broken"

@@ -186,14 +186,14 @@ def _couple(record: DiagnosticsRecord, delta: float) -> DiagnosticsRecord:
 
 def _check_mass(step_index: int, mass: float, mass0: float) -> None:
     drift = abs(mass - mass0)
-    if drift > MASS_DRIFT_TOL * abs(mass0):
+    if not drift <= MASS_DRIFT_TOL * abs(mass0):  # NaN fails
         raise InvariantViolation(
             step_index, "mass", f"drift {drift:.3e} relative to {mass0:.6g}"
         )
 
 
 def _check_sandwich(step_index: int, f: np.ndarray, init: InitialData) -> None:
-    if np.any(f < init.f_lower) or np.any(f > init.f_upper):
+    if not (np.all(f >= init.f_lower) and np.all(f <= init.f_upper)):  # NaN fails
         low = float(np.min(f - init.f_lower[None, :]))
         high = float(np.max(f - init.f_upper[None, :]))
         raise InvariantViolation(
@@ -205,7 +205,7 @@ def _check_sandwich(step_index: int, f: np.ndarray, init: InitialData) -> None:
 
 def _check_record(step_index: int, record: DiagnosticsRecord, mass0: float) -> None:
     _check_mass(step_index, record.mass, mass0)
-    if record.D < DISSIPATION_FLOOR:
+    if not record.D >= DISSIPATION_FLOOR:  # NaN fails
         raise InvariantViolation(step_index, "dissipation", f"D = {record.D:.3e}")
 
 

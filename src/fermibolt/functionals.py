@@ -54,7 +54,7 @@ def weighted_norm(g: np.ndarray, vgrid: VelocityGrid, sgrid: SpatialGrid,
 
 def _check_open_interval(f: np.ndarray) -> None:
     fmin, fmax = float(f.min()), float(f.max())
-    if fmin <= 0.0 or fmax >= 1.0:
+    if not (fmin > 0.0 and fmax < 1.0):  # NaN fails
         raise ValueError(
             f"entropy needs occupation numbers strictly inside (0, 1), "
             f"found range [{fmin:g}, {fmax:g}]"

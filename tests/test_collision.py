@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fermibolt import collision
 from fermibolt.velocity import build_velocity_grid, integrate
 from fermibolt.collision import (
     apply_collision,
@@ -99,6 +100,15 @@ def test_table_for_another_lattice_fails_before_parsing(tmp_path, tiny):
         load_kernel_table(str(path), tiny)
 
 
+def test_table_over_the_memory_budget_fails_before_parsing(tmp_path, tiny, monkeypatch):
+    # an 8-node table is 512 bytes of float64; the payload is never read
+    monkeypatch.setattr(collision, "TABLE_BUDGET_BYTES", 256)
+    path = tmp_path / "big.txt"
+    path.write_text("8\nnot-a-number\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"declares N=8: its table takes 512 bytes"):
+        load_kernel_table(str(path), tiny)
+
+
 def test_unknown_kernel_kind(grid):
     with pytest.raises(ValueError):
         build_kernel("quadratic", grid)
@@ -155,6 +165,9 @@ def test_collision_rejects_out_of_range(grid):
         apply_collision(bad, kernel, grid)
     bad[0] = -0.1
     with pytest.raises(ValueError):
+        apply_collision(bad, kernel, grid)
+    bad[0] = np.nan
+    with pytest.raises(ValueError, match=r"found range \[nan, nan\]"):
         apply_collision(bad, kernel, grid)
     with pytest.raises(ValueError):
         apply_collision(np.full(32, 0.5), kernel, grid)

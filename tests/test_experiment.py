@@ -310,6 +310,45 @@ def test_violation_between_records_aborts_at_its_step(quantity, monkeypatch, tmp
     assert math.isnan(records[0].E) and math.isnan(records[0].ratio_c6)
 
 
+def test_nan_fails_the_run_checks():
+    # each comparison is written so that NaN fails it
+    config = ExperimentConfig(nodes_per_axis=8, spatial_cells=8)
+    vgrid, sgrid, _ = build_lattice(config)
+    init = evolution.initial_state(sgrid, vgrid, 1.0, 0.5)
+    with pytest.raises(InvariantViolation, match="mass invariant failed"):
+        experiment._check_mass(4, math.nan, 1.0)
+    f = init.state.f.copy()
+    f[3, 5] = np.nan
+    with pytest.raises(InvariantViolation, match="sandwich invariant failed"):
+        experiment._check_sandwich(4, f, init)
+    record = DiagnosticsRecord(*[1.0] * 13)
+    with pytest.raises(InvariantViolation, match="dissipation invariant failed"):
+        experiment._check_record(4, dataclasses.replace(record, D=math.nan), 1.0)
+
+
+@pytest.mark.parametrize("splitting", ["strang", "lie"])
+def test_nan_after_the_last_substep_aborts_the_run(splitting, monkeypatch, tmp_path):
+    # the NaN reaches only the run's own per-step check, in step 3
+    name, calls_per_step = ("transport_step", 2) if splitting == "strang" else ("collision_step", 1)
+    real = getattr(evolution, name)
+    calls = [0]
+
+    def poisoned(state, *args, **kwargs):
+        out = real(state, *args, **kwargs)
+        calls[0] += 1
+        if calls[0] == 3 * calls_per_step:
+            out.f[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(evolution, name, poisoned)
+    config = ExperimentConfig(nodes_per_axis=16, spatial_cells=16, t_final=1.0,
+                              record_every=10, splitting=splitting)
+    with pytest.raises(InvariantViolation) as err:
+        run_experiment(config, output_dir=str(tmp_path))
+    assert err.value.step_index == 3
+    assert err.value.quantity == "mass"
+
+
 @pytest.mark.parametrize("splitting,transport_calls", [("strang", 2), ("lie", 1)])
 def test_run_builds_the_step_plan_once(splitting, transport_calls, monkeypatch):
     calls = {"plan": 0, "transport": 0, "collision": 0, "sandwich": 0}

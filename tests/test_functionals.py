@@ -104,6 +104,9 @@ def test_entropy_rejects_boundary_values(vgrid, sgrid, eq):
     f[0, 0] = 1.0
     with pytest.raises(ValueError):
         relative_entropy(f, eq.profile, vgrid, sgrid)
+    f[0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"found range \[nan, nan\]"):
+        relative_entropy(f, eq.profile, vgrid, sgrid)
 
 
 def test_entropy_matches_bruteforce(eq):

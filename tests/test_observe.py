@@ -239,3 +239,20 @@ def test_cli_run_reports_a_bad_config_file(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.splitlines() == [f"run failed: {message}"]
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_refuses_an_oversized_kernel_table(tmp_path, capsys):
+    # a header-only table on the matching 64^2 lattice: 4096^2 doubles
+    table = tmp_path / "table.txt"
+    table.write_text("4096\n", encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"d_v = 2\nkernel = custom_table\nkernel_file = {table}\n",
+                   encoding="utf-8")
+    assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"run failed: kernel table {table} declares N=4096: its table takes "
+        "134217728 bytes (128 MiB), over the 64 MiB budget"
+    ]
+    assert not (tmp_path / "out").exists()
