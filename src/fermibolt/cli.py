@@ -88,7 +88,7 @@ def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config.seed = args.seed
+            config.seed = args.seed  # checked with the rest by run_experiment
         result = run_experiment(config, output_dir=args.output_dir)
     except ConfigError as exc:
         # a bad config file, lattice or kernel file, or a pinned dt over a

@@ -116,7 +116,7 @@ def _make_kernel(kind: str, grid: VelocityGrid, level: float,
         kind=kind,
         dim=grid.dim,
         n_nodes=grid.n_nodes,
-        node_weight=float(grid.weights[0]),
+        node_weight=grid.weight,
         level=level,
         sigma_minus=bounds[0],
         sigma_plus=bounds[1],
@@ -193,7 +193,8 @@ def load_kernel_table(path: str, grid: VelocityGrid) -> CollisionKernel:
 
 def apply_collision(f: np.ndarray, kernel: CollisionKernel, grid: VelocityGrid,
                     out: np.ndarray | None = None,
-                    work: np.ndarray | None = None) -> np.ndarray:
+                    work: np.ndarray | None = None,
+                    maxwellian: np.ndarray | None = None) -> np.ndarray:
     """Evaluate Q(f) for one cell (N,) or a stack of cells (cells, N).
 
     Uses Q = G * (S f) - f * (S G) with G = M (1 - f) and S the kernel's
@@ -208,6 +209,9 @@ def apply_collision(f: np.ndarray, kernel: CollisionKernel, grid: VelocityGrid,
     For a stack of cells, Q is built in `out` (f's shape), and `work`,
     three C-contiguous rows of f's shape, holds f * (S G), S f and the 2-d
     matmul's intermediate; what is None is allocated as needed.
+    `maxwellian` is M to use in G: by default `grid.maxwellian`, and a
+    run's step passes the same row tiled to f's shape, so that numpy
+    multiplies same-shape operands instead of broadcasting the row.
     That the result does not depend on the BLAS thread count is checked
     by the determinism acceptance test.
     """
@@ -225,7 +229,7 @@ def apply_collision(f: np.ndarray, kernel: CollisionKernel, grid: VelocityGrid,
         )
     loss, scattered, spare = (None, None, None) if work is None else work
     q = np.subtract(1.0, f, out=out)  # G * (S f) - f * (S G), built in the G buffer
-    q *= grid.maxwellian
+    q *= grid.maxwellian if maxwellian is None else maxwellian
     loss = np.multiply(f, kernel.scatter(q, out=loss, work=spare), out=loss)
     q *= kernel.scatter(f, out=scattered, work=spare)
     q -= loss

@@ -8,6 +8,7 @@ the modified entropy E = H + delta * pairing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dataclass_fields
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config", "format_config"]
@@ -47,31 +48,39 @@ class ExperimentConfig:
     delta: float | None = 0.01       # None means auto (scan)
 
     def validate(self) -> "ExperimentConfig":
+        # a non-finite value fails here, and every comparison below is
+        # written so that NaN fails it too
+        for name in sorted(_FLOAT_KEYS | _AUTO_FLOAT_KEYS):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.kernel not in KERNELS:
             raise ConfigError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
         if self.kernel == "custom_table" and not self.kernel_file:
             raise ConfigError("kernel = custom_table requires kernel_file")
-        if self.kernel == "constant" and self.sigma0 <= 0.0:
+        if self.kernel == "constant" and not self.sigma0 > 0.0:
             raise ConfigError("sigma0 must be positive")
         if self.transport not in TRANSPORTS:
             raise ConfigError(f"transport must be one of {TRANSPORTS}")
         if self.splitting not in SPLITTINGS:
             raise ConfigError(f"splitting must be one of {SPLITTINGS}")
-        if self.kappa_bar <= 0.0:
+        if not self.kappa_bar > 0.0:
             raise ConfigError("kappa_bar must be positive")
         if not 0.0 <= self.amplitude < 1.0:
             raise ConfigError("amplitude must lie in [0, 1)")
-        if self.perturbation < 0.0:
+        if not self.perturbation >= 0.0:
             raise ConfigError("perturbation must be nonnegative")
         if not 0.0 < self.cfl_safety < 1.0:
             raise ConfigError("cfl_safety must lie in (0, 1)")
-        if self.t_final <= 0.0:
+        if not self.t_final > 0.0:
             raise ConfigError("t_final must be positive")
         if self.record_every < 1:
             raise ConfigError("record_every must be a positive integer")
-        if self.dt is not None and self.dt <= 0.0:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.dt is not None and not self.dt > 0.0:
             raise ConfigError("dt must be positive or auto")
-        if self.delta is not None and self.delta <= 0.0:
+        if self.delta is not None and not self.delta > 0.0:
             raise ConfigError("delta must be positive or auto")
         return self
 
@@ -113,6 +122,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 values[key] = value
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
+        if isinstance(values[key], float) and not math.isfinite(values[key]):
+            raise ConfigError(f"line {lineno}: {key!r} must be a finite number, got {value!r}")
     return ExperimentConfig(**values).validate()
 
 

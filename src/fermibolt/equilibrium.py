@@ -94,7 +94,7 @@ def _newton(targets, grid: VelocityGrid, rel_tol: float, initial):
     else:
         kappa = targets / float(integrate(grid.maxwellian, grid))
 
-    m, w = grid.maxwellian, grid.weights
+    m, w = grid.maxwellian, grid.weight
     tol = rel_tol * targets
     lo = np.zeros_like(targets)          # density(0) = 0 < target always
     hi = np.full_like(targets, np.inf)

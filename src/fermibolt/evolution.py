@@ -15,15 +15,22 @@ decided, and where the step size is checked once: the Courant number of
 the transport sub-step (dt / 2 under Strang, dt under Lie) against the
 limit of the transport order, and dt against the collision ceiling;
 either failure raises `ConfigError` (a ValueError) naming the largest
-admissible dt. The plan also holds the per-node Courant numbers and the
-signed MUSCL coefficient, so no sub-step rebuilds them. What still runs
-on every sub-step is what depends on the state: `apply_collision`
-refuses input outside [0, 1], and each collision sub-step checks that
-its result stays in [0, 1]. The run's own mass and sandwich checks come
-in through `step`'s `check` callback.
+admissible dt. The plan also holds the per-node Courant numbers, the
+signed MUSCL coefficient and the Maxwellian, so no sub-step rebuilds
+them. What still runs on every sub-step is what depends on the state:
+`apply_collision` refuses input outside [0, 1], and each collision
+sub-step checks that its result stays in [0, 1]. The run's own mass and
+sandwich checks come in through `step`'s `check` callback.
 
-The plan also holds the step's workspace, `work`: four scratch rows of
-the state's (cells, nodes) shape, allocated once by `plan_step`. Row 0
+The plan keeps each of those per-node rows as a tile: the row copied
+into every cell, a C-contiguous array of the state's (cells, nodes)
+shape, built once by `plan_step`. Against a tile every per-step ufunc
+multiplies same-shape operands, which numpy runs in its plain loop; a
+(nodes,) row broadcast against the state costs about twice as much and a
+buffer on every call. The products are the same, and so are the bytes.
+
+Beside the tiles the plan holds the step's workspace, `work`: four
+scratch rows of the state's shape, allocated once by `plan_step`. Row 0
 holds the first stage of each Strang Heun pair. Rows 1-3 hold the MUSCL
 differences and slope in transport, and f * (S G), S f and the 2-d matmul
 intermediate in `apply_collision`. So no sub-step allocates a full-size
@@ -150,8 +157,10 @@ class StepPlan:
     dt: float
     splitting: str
     transport_dt: float        # dt / 2 under Strang, dt under Lie
-    mu: np.ndarray             # (nodes,) Courant number |v1| transport_dt / dx
-    muscl: np.ndarray | None   # (nodes,) -+0.5 mu (1 - mu) by half; None for upwind1
+    # the next three are (cells, nodes) tiles of one per-node row
+    mu: np.ndarray             # Courant number |v1| transport_dt / dx
+    muscl: np.ndarray | None   # -+0.5 mu (1 - mu) by half; None for upwind1
+    maxwellian: np.ndarray     # the lattice Maxwellian M
     work: tuple[np.ndarray, ...]  # four (cells, nodes) scratch rows of the sub-steps
 
 
@@ -191,13 +200,16 @@ def plan_step(kernel: CollisionKernel, vgrid: VelocityGrid, sgrid: SpatialGrid,
             f"collision step dt={dt:.6g} exceeds the monotonicity ceiling "
             f"{ceiling:.6g}; {largest}"
         )
+    cells = (sgrid.cells, 1)  # np.tile repeats a node row once per cell
     mu = np.abs(lam)
     muscl = None
     if config.transport == "muscl2":
         muscl = 0.5 * mu * (1.0 - mu)
         muscl[: vgrid.n_nodes // 2] *= -1.0
+        muscl = np.tile(muscl, cells)
     work = tuple(np.empty((4, sgrid.cells, vgrid.n_nodes)))
-    return StepPlan(kernel, dt, config.splitting, transport_dt, mu, muscl, work)
+    return StepPlan(kernel, dt, config.splitting, transport_dt, np.tile(mu, cells),
+                    muscl, np.tile(vgrid.maxwellian, cells), work)
 
 
 def _upwind_neighbour(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -248,8 +260,12 @@ def _sub_step(f: np.ndarray, plan: StepPlan,
     if plan.splitting == "strang":
         stage = update(f, plan.work[0])
         update(stage, f_new)
+        # (b + a) * 0.5 rounds as 0.5 b + 0.5 a: halving is exact and
+        # rounding scale-invariant while no operand is below 2^-1021. The
+        # sandwich keeps states above f_lower, far above that: about
+        # 2e-28 kappa_minus at the corner of the 2-d 64^2, half_width 8 lattice
+        f_new += f
         f_new *= 0.5
-        f_new += np.multiply(f, 0.5, out=stage)  # the stage is spent: reuse it
     else:
         update(f, f_new)
     return f_new
@@ -280,7 +296,8 @@ def collision_step(state: PhaseState, plan: StepPlan) -> PhaseState:
     dt, kernel, vgrid = plan.dt, plan.kernel, state.vgrid
 
     def euler(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-        q = apply_collision(g, kernel, vgrid, out=out, work=plan.work[1:])
+        q = apply_collision(g, kernel, vgrid, out=out, work=plan.work[1:],
+                            maxwellian=plan.maxwellian)
         q *= dt
         q += g
         return q

@@ -62,9 +62,16 @@ __all__ = [
     "observe",
     "write_rate_report",
     "SNAPSHOT_STRIDE",
+    "STATE_BUDGET_BYTES",
 ]
 
 SNAPSHOT_STRIDE = 10          # full state every this many records
+# Largest total of the (cells, nodes) float64 arrays a run keeps resident
+# between records: the initial and current states and a step's two fresh
+# sub-step results, the plan's four workspace rows and its mu, muscl and
+# Maxwellian tiles, and the two barrier tiles of the per-step check.
+STATE_BUDGET_BYTES = 512 * 2**20
+RESIDENT_STATES = 13
 DELTA_WINDOW = 5.0            # time span whose records choose delta = auto
 MASS_DRIFT_TOL = 1e-12        # relative, abort threshold
 DISSIPATION_FLOOR = -1e-12    # abort if D drops below
@@ -192,10 +199,12 @@ def _check_mass(step_index: int, mass: float, mass0: float) -> None:
         )
 
 
-def _check_sandwich(step_index: int, f: np.ndarray, init: InitialData) -> None:
-    if not (np.all(f >= init.f_lower) and np.all(f <= init.f_upper)):  # NaN fails
-        low = float(np.min(f - init.f_lower[None, :]))
-        high = float(np.max(f - init.f_upper[None, :]))
+def _check_sandwich(step_index: int, f: np.ndarray, lower: np.ndarray,
+                    upper: np.ndarray) -> None:
+    """f between the barrier tiles `lower` and `upper`, both of f's shape."""
+    if not ((f >= lower).all() and (f <= upper).all()):  # NaN fails
+        low = float(np.min(f - lower))
+        high = float(np.max(f - upper))
         raise InvariantViolation(
             step_index,
             "sandwich",
@@ -262,6 +271,17 @@ def _write_manifest(snap_dir: str, config: ExperimentConfig) -> None:
         fh.write(format_config(config))
 
 
+def _check_state_budget(vgrid: VelocityGrid, sgrid: SpatialGrid) -> None:
+    """ConfigError when the run's resident state arrays exceed STATE_BUDGET_BYTES."""
+    total = RESIDENT_STATES * 8 * sgrid.cells * vgrid.n_nodes
+    if total > STATE_BUDGET_BYTES:
+        raise ConfigError(
+            f"{sgrid.cells} cells x {vgrid.n_nodes} velocity nodes: the run's "
+            f"{RESIDENT_STATES} resident state arrays take {total} bytes "
+            f"({total / 2**20:.6g} MiB), over the {STATE_BUDGET_BYTES // 2**20} MiB budget"
+        )
+
+
 def build_lattice(config: ExperimentConfig):
     """(vgrid, sgrid, kernel) of a run; ConfigError if the lattice or kernel file fails."""
     try:
@@ -288,6 +308,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     """
     config.validate()
     vgrid, sgrid, kernel = build_lattice(config)
+    _check_state_budget(vgrid, sgrid)  # before anything state-sized is allocated
     init = initial_state(
         sgrid,
         vgrid,
@@ -296,6 +317,8 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
         perturbation=config.perturbation,
         seed=config.seed,
     )
+    # the barriers as tiles of the state's shape, for the per-step check
+    lower, upper = (np.tile(row, (sgrid.cells, 1)) for row in (init.f_lower, init.f_upper))
     # resolves `dt = auto`, and refuses a pinned dt over the Courant limit
     # or the collision ceiling before any output is written
     plan = plan_step(kernel, vgrid, sgrid, config)
@@ -330,7 +353,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
         _check_record(step_index, record, mass0)
         if step_index == 0:
             # every later state has passed `check_step` inside `step`
-            _check_sandwich(step_index, state.f, init)
+            _check_sandwich(step_index, state.f, lower, upper)
         if delta is not None:
             record = _couple(record, delta)
             if writer is not None:
@@ -349,9 +372,9 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
 
     def check_step(step_index: int, state: PhaseState) -> None:
         # node totals first: far cheaper than `moments`, same mass to rounding
-        mass = float(np.sum(np.sum(state.f, axis=0) * vgrid.weights)) * sgrid.spacing
-        _check_mass(step_index, mass, mass0)
-        _check_sandwich(step_index, state.f, init)
+        totals = np.add.reduce(state.f, axis=0) * vgrid.weight
+        _check_mass(step_index, float(np.add.reduce(totals)) * sgrid.spacing, mass0)
+        _check_sandwich(step_index, state.f, lower, upper)
 
     try:
         on_record(0, state)

@@ -48,7 +48,7 @@ def weighted_norm(g: np.ndarray, vgrid: VelocityGrid, sgrid: SpatialGrid,
         raise ValueError("expected a field shaped (cells, velocity nodes)")
     if ref is not None:
         g = g - ref
-    total = np.add.reduce(np.add.reduce(g * g / vgrid.maxwellian * vgrid.weights, axis=-1))
+    total = np.add.reduce(np.add.reduce(g * g / vgrid.maxwellian * vgrid.weight, axis=-1))
     return float(np.sqrt(total * sgrid.spacing))
 
 
@@ -73,7 +73,7 @@ def relative_entropy(
     p = eq_profile
     hole = 1.0 - f
     s = f * np.log(f / p) + hole * np.log(hole / (1.0 - p))
-    return float(np.add.reduce(np.add.reduce(s * vgrid.weights, axis=-1)) * sgrid.spacing)
+    return float(np.add.reduce(np.add.reduce(s * vgrid.weight, axis=-1)) * sgrid.spacing)
 
 
 def dissipation(
@@ -109,7 +109,7 @@ def dissipation(
     chi_shift = np.log(ratio) - np.log(centre)[:, None]
     bracket = chi_shift * kernel.scatter(a) - kernel.scatter(a * chi_shift)
     per_node = a * ratio_shift * bracket
-    return float(np.add.reduce(np.add.reduce(per_node * vgrid.weights, axis=-1))) * sgrid.spacing
+    return float(np.add.reduce(np.add.reduce(per_node * vgrid.weight, axis=-1))) * sgrid.spacing
 
 
 def field_current_pairing(fields: FieldSet, sgrid: SpatialGrid) -> float:

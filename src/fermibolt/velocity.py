@@ -6,6 +6,12 @@ node v has an exact mirror partner -v and the origin is not a node.
 Integrals over velocity are plain midpoint sums; for Gaussian-type
 integrands the lattice sum is accurate far beyond its formal order, and
 the neglected tail outside the cube is recorded on the grid.
+
+Every node has the same quadrature weight, (2L/N)^dim. The grid carries
+it once as the scalar `weight`, and `weights` holds that one value at
+every node, so `x * weight` and `x * weights` are the same IEEE products.
+The quadratures multiply by the scalar, which spares numpy a broadcast
+of the node row against a stack of cells.
 """
 from __future__ import annotations
 
@@ -27,7 +33,8 @@ class VelocityGrid:
     half_width: float
     nodes_per_axis: int
     nodes: np.ndarray       # (n_nodes, dim), mirror symmetric
-    weights: np.ndarray     # (n_nodes,), all equal to (2L/N)^dim
+    weight: float           # (2L/N)^dim, the weight of every node
+    weights: np.ndarray     # (n_nodes,), each equal to `weight`
     maxwellian: np.ndarray  # (n_nodes,), (2*pi)^(-dim/2) * exp(-|v|^2/2)
     tail_mass: float        # Gaussian mass outside the cube
 
@@ -72,7 +79,7 @@ def build_velocity_grid(dim: int, half_width: float, nodes_per_axis: int) -> Vel
         nodes = np.column_stack([va.ravel(), vb.ravel()])
 
     h = 2.0 * half_width / nodes_per_axis
-    weights = np.full(nodes.shape[0], h**dim)
+    weight = h**dim
     speed_sq = np.sum(nodes * nodes, axis=1)
     maxwellian = GAUSS_NORM**dim * np.exp(-0.5 * speed_sq)
     tail_mass = 1.0 - math.erf(half_width / math.sqrt(2.0)) ** dim
@@ -81,14 +88,15 @@ def build_velocity_grid(dim: int, half_width: float, nodes_per_axis: int) -> Vel
         half_width=float(half_width),
         nodes_per_axis=int(nodes_per_axis),
         nodes=nodes,
-        weights=weights,
+        weight=weight,
+        weights=np.full(nodes.shape[0], weight),
         maxwellian=maxwellian,
         tail_mass=tail_mass,
     )
 
 
 def integrate(values: np.ndarray, grid: VelocityGrid) -> np.ndarray | float:
-    """Midpoint quadrature over velocity: sum(values * weights).
+    """Midpoint quadrature over velocity: sum(values * weight).
 
     `values` may carry leading batch axes (e.g. one row per spatial
     cell); the node axis must be last. The mirror partners v and -v sit
@@ -102,7 +110,7 @@ def integrate(values: np.ndarray, grid: VelocityGrid) -> np.ndarray | float:
         raise ValueError(
             f"got {values.shape[-1]} values for {grid.n_nodes} velocity nodes"
         )
-    terms = values * grid.weights
+    terms = values * grid.weight
     half = grid.n_nodes // 2
     folded = terms[..., :half] + terms[..., ::-1][..., :half]
     out = np.add.reduce(folded, axis=-1)

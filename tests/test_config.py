@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -90,6 +91,29 @@ def test_parse_rejects_bad_values():
         parse_config("t_final = soon\n")
     with pytest.raises(ConfigError):
         parse_config("just some words\n")
+
+
+FLOAT_KEYS = ("half_width", "sigma0", "kappa_bar", "amplitude", "perturbation",
+              "cfl_safety", "t_final", "dt", "delta")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_parse_rejects_non_finite_values(key, text):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"spatial_cells = 16\n{key} = {text}\n")
+    assert str(err.value) == f"line 2: {key!r} must be a finite number, got {text!r}"
+
+
+def test_validation_fails_on_nan_and_negative_seed():
+    for key in FLOAT_KEYS:
+        for value in (math.nan, math.inf):
+            config = dataclasses.replace(ExperimentConfig(), **{key: value})
+            with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+                config.validate()
+    with pytest.raises(ConfigError, match="seed must be nonnegative, got -5"):
+        ExperimentConfig(seed=-5).validate()
+    assert ExperimentConfig(seed=0).validate().seed == 0
 
 
 def test_validation_errors():

@@ -430,12 +430,65 @@ def test_substeps_refuse_a_state_of_another_shape(sgrid, vgrid, kernel):
             sub_step(other, plan)
 
 
+@pytest.mark.parametrize("order", ["upwind1", "muscl2"])
+@pytest.mark.parametrize("dim,n,kind", WORKSPACE_KERNELS,
+                         ids=[kind for _, _, kind in WORKSPACE_KERNELS])
+def test_plan_tiles_repeat_their_row(dim, n, kind, order):
+    # every row operand of the step is a C-contiguous (cells, nodes) tile
+    # whose rows are the per-node row bit for bit
+    vg = build_velocity_grid(dim, 8.0, n)
+    sg = build_spatial_grid(8)
+    plan = _step_plan(build_kernel(kind, vg), initial_state(sg, vg, 1.0, 0.5).state,
+                      transport=order)
+    mu = np.abs(vg.first_axis * (plan.transport_dt / sg.spacing))
+    rows = {"mu": mu, "maxwellian": vg.maxwellian}
+    if order == "muscl2":
+        muscl = 0.5 * mu * (1.0 - mu)
+        muscl[: vg.n_nodes // 2] *= -1.0
+        rows["muscl"] = muscl
+    else:
+        assert plan.muscl is None
+    for name, row in rows.items():
+        tile = getattr(plan, name)
+        assert tile.shape == (sg.cells, vg.n_nodes)
+        assert tile.flags.c_contiguous
+        for cell_row in tile:
+            assert np.array_equal(cell_row, row)
+
+
+# Traced peak of one transport sub-step over state.f.nbytes. It was 2.04
+# (1-d default) and 1.26 (32^2 nodes, 32 cells) while mu was a (nodes,)
+# row: numpy's buffer for broadcasting it (min(size, 8192) doubles). With
+# the tiles upwind1 allocates only its fresh result; muscl2 adds the
+# minmod sign masks, 1.27 on the 1-d default.
+@pytest.mark.parametrize("order,bound", [("upwind1", 1.05), ("muscl2", 1.4)])
+@pytest.mark.parametrize("dim,n,cells,kind", [
+    (1, 64, 64, "constant"), (2, 32, 32, "gaussian_bump"),
+], ids=["1d-default", "2d-32sq"])
+def test_transport_allocates_only_its_result(dim, n, cells, kind, order, bound):
+    vg = build_velocity_grid(dim, 8.0, n)
+    sg = build_spatial_grid(cells)
+    state = initial_state(sg, vg, 1.0, 0.5).state
+    plan = _step_plan(build_kernel(kind, vg), state, transport=order)
+    state = transport_step(state, plan)  # warm-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        transport_step(state, plan)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * state.f.nbytes
+
+
 # Traced peak of one step over state.f.nbytes. When the sub-steps still
 # allocated every temporary it was 7.26 (32^2 nodes, 32 cells), 8.15
 # (16^2, 8 cells) and 5.07 (1-d default); with the workspace it is 2.26,
-# 3.13 and 3.08. Two fresh sub-step results are alive at once; the
-# rest is numpy's buffer for the broadcasting ufuncs (min(size, 8192)
-# doubles), which is a whole array on the two small lattices.
+# 3.13 and 3.08, and the plan's tiles left it there. Two fresh sub-step
+# results are alive at once; the rest is numpy's buffer (min(size, 8192)
+# doubles) for the per-cell column operands of the collision, the rank-one
+# S f and S G and the constant part of the scatter, which is a whole
+# array on the two small lattices.
 @pytest.mark.parametrize("dim,n,cells,kind,bound", [
     (2, 32, 32, "gaussian_bump", 2.5),
     (2, 16, 8, "gaussian_bump", 3.5),

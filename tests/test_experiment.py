@@ -320,7 +320,8 @@ def test_nan_fails_the_run_checks():
     f = init.state.f.copy()
     f[3, 5] = np.nan
     with pytest.raises(InvariantViolation, match="sandwich invariant failed"):
-        experiment._check_sandwich(4, f, init)
+        experiment._check_sandwich(4, f, *(np.tile(row, (8, 1))
+                                            for row in (init.f_lower, init.f_upper)))
     record = DiagnosticsRecord(*[1.0] * 13)
     with pytest.raises(InvariantViolation, match="dissipation invariant failed"):
         experiment._check_record(4, dataclasses.replace(record, D=math.nan), 1.0)
@@ -620,8 +621,8 @@ def test_cli_audit_missing_manifest(cli_run_dir, tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["nodes_per_axis = 7", "nodes = 3"],
-                         ids=["odd-lattice", "unknown-key"])
+@pytest.mark.parametrize("line", ["nodes_per_axis = 7", "nodes = 3", "t_final = nan"],
+                         ids=["odd-lattice", "unknown-key", "t_final-nan"])
 def test_cli_audit_reports_a_bad_manifest(cli_run_dir, tmp_path, capsys, line):
     manifest = (cli_run_dir / "snapshots" / "manifest.cfg").read_text(encoding="utf-8")
     key = line.split(" = ")[0]
@@ -633,7 +634,8 @@ def test_cli_audit_reports_a_bad_manifest(cli_run_dir, tmp_path, capsys, line):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("audit failed: ")
+    # the manifest is named: the audit stops there, before the snapshots
+    assert len(err) == 1 and err[0].startswith(f"audit failed: {tmp_path / 'manifest.cfg'}: ")
 
 
 def _audit_fails(csv, snap_dir, capsys):

@@ -5,13 +5,14 @@ bit, except D of a gaussian_bump run, which must agree to D_REL_TOL; the
 traced layer functions must each see one call per record.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fermibolt import cli, experiment
 from fermibolt.collision import build_kernel
-from fermibolt.config import ExperimentConfig, format_config
+from fermibolt.config import ConfigError, ExperimentConfig, format_config
 from fermibolt.equilibrium import fermi_profile, project, solve_kappa_many
 from fermibolt.experiment import AUDIT_DIST_FLOOR, SNAPSHOT_STRIDE, observe, run_experiment
 from fermibolt.functionals import RECORD_FIELDS
@@ -225,6 +226,25 @@ BAD_CONFIGS = {
     "missing-kernel-file": ("kernel = custom_table\nkernel_file = {tmp}/absent.txt",
                             "[Errno 2] No such file or directory: '{tmp}/absent.txt'"),
 }
+# values that once ended in a traceback, a run that raised after writing,
+# or a silent NaN run; on an 8 x 8 lattice, the value on line 3
+NON_FINITE = {
+    "t_final-nan": "t_final = nan",
+    "dt-nan": "dt = nan",
+    "t_final-inf": "t_final = inf",
+    "kappa_bar-inf": "kappa_bar = inf",
+    "half_width-nan": "half_width = nan",
+    "sigma0-nan": "sigma0 = nan",
+    "delta-nan": "delta = nan",
+    "dt-inf": "dt = inf",
+}
+for name, line in NON_FINITE.items():
+    key, value = line.split(" = ")
+    BAD_CONFIGS[name] = ("nodes_per_axis = 8\nspatial_cells = 8\n" + line,
+                         f"line 3: {key!r} must be a finite number, got {value!r}")
+BAD_CONFIGS["negative-seed"] = ("nodes_per_axis = 8\nspatial_cells = 8\n"
+                                "perturbation = 0.001\nseed = -5",
+                                "seed must be nonnegative, got -5")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
@@ -239,6 +259,43 @@ def test_cli_run_reports_a_bad_config_file(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.splitlines() == [f"run failed: {message}"]
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_refuses_a_negative_seed_override(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nodes_per_axis = 8\nspatial_cells = 8\nperturbation = 0.001\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--seed", "-1", "--output-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["run failed: seed must be nonnegative, got -1"]
+    assert not out.exists()
+
+
+def test_cli_run_refuses_a_state_over_the_budget(tmp_path, capsys, monkeypatch):
+    # one 1024 x 64 state is 512 KiB; the refusal comes before any of the
+    # run's state-sized arrays exists
+    monkeypatch.setattr(experiment, "STATE_BUDGET_BYTES", 2**20)
+    message = ("1024 cells x 64 velocity nodes: the run's 13 resident state "
+               "arrays take 6815744 bytes (6.5 MiB), over the 1 MiB budget")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as err:
+            run_experiment(ExperimentConfig(spatial_cells=1024), output_dir=str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == message
+    assert peak < 64 * 2**10
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("spatial_cells = 1024\n", encoding="utf-8")
+    assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"run failed: {message}"]
+    assert not out.exists()
 
 
 def test_cli_run_refuses_an_oversized_kernel_table(tmp_path, capsys):

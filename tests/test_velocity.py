@@ -32,6 +32,21 @@ def test_weights_sum_to_box_volume():
     assert math.isclose(float(np.sum(grid2.weights)), 256.0, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("dim,half_width,n", [
+    (1, 8.0, 64), (2, 8.0, 32), (1, 7.5, 48), (2, 7.5, 48),
+])
+def test_every_weight_is_the_scalar_weight(dim, half_width, n):
+    # the quadratures multiply by the scalar; that they give the bytes the
+    # node row gave rests on every entry being that one value
+    grid = build_velocity_grid(dim, half_width, n)
+    assert isinstance(grid.weight, float)
+    assert grid.weight == (2.0 * half_width / n) ** dim
+    assert grid.weights.shape == (grid.n_nodes,)
+    assert np.all(grid.weights == grid.weight)
+    values = np.random.default_rng(11).uniform(size=(3, grid.n_nodes))
+    assert np.array_equal(values * grid.weight, values * grid.weights)
+
+
 def test_maxwellian_mass_close_to_one():
     grid = build_velocity_grid(1, 8.0, 64)
     mass = integrate(grid.maxwellian, grid)
