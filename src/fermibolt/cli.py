@@ -99,7 +99,7 @@ def _cmd_run(args) -> int:
     print(f"steps completed: t = {last.t:.6g} with {len(result.records)} records")
     print(f"mass = {last.mass:.12g} (initial {result.records[0].mass:.12g})")
     print(f"dist_total = {last.dist_total:.6g}, H = {last.H:.6g}, E = {last.E:.6g}")
-    print(f"delta = {result.config.delta:.6g}, dt = {result.dt:.6g}")
+    print(f"delta = {result.config.delta:.6g}, dt = {result.config.dt:.6g}")
     if result.rate_report is not None:
         rep = result.rate_report
         print(
@@ -181,7 +181,7 @@ def _cmd_audit(args) -> int:
         return 1
     states = (snapshot_load(os.path.join(snap_dir, name), vgrid=vgrid, sgrid=sgrid)
               for name in names)
-    eq = global_equilibrium(records[0].mass, sgrid.volume, vgrid)
+    eq = global_equilibrium(records[0].mass, vgrid)
     try:
         constants = audit_snapshots(records, states, kernel=kernel, eq=eq)
     except (ValueError, SnapshotError) as exc:

@@ -26,7 +26,7 @@ they need; the float operations and their order are the same either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,16 +54,15 @@ class CollisionKernel:
     holds the per-axis Gaussian factor, plain `level` when it is None,
     and the dense `table` for a kernel loaded from disk. The lattice
     weights are uniform, so one `node_weight` stands for all of them.
+    The step-size ceiling is no field: `plan_step` computes it once per run.
     """
 
     kind: str
     dim: int
-    n_nodes: int
     node_weight: float
     level: float
     sigma_minus: float
     sigma_plus: float
-    dt_ceiling: float                # collision_dt_ceiling at build time
     bump: np.ndarray | None = None   # (n_axis, n_axis) exp(-(u_a - u_b)^2 / 2)
     table: np.ndarray | None = None  # (n_nodes, n_nodes), custom_table only
 
@@ -104,7 +103,10 @@ class CollisionKernel:
 
 
 def collision_dt_ceiling(kernel: CollisionKernel, vgrid: VelocityGrid) -> float:
-    """Sufficient explicit-step bound keeping the collision update monotone."""
+    """Sufficient explicit-step bound keeping the collision update monotone.
+
+    `plan_step` is its one reader in a run.
+    """
     m0 = float(integrate(vgrid.maxwellian, vgrid))
     rho_max = float(np.sum(vgrid.weights))  # Pauli-saturated density
     return 1.0 / (kernel.sigma_plus * (m0 + rho_max))
@@ -112,18 +114,7 @@ def collision_dt_ceiling(kernel: CollisionKernel, vgrid: VelocityGrid) -> float:
 
 def _make_kernel(kind: str, grid: VelocityGrid, level: float,
                  bounds: tuple[float, float], **structure) -> CollisionKernel:
-    kernel = CollisionKernel(
-        kind=kind,
-        dim=grid.dim,
-        n_nodes=grid.n_nodes,
-        node_weight=grid.weight,
-        level=level,
-        sigma_minus=bounds[0],
-        sigma_plus=bounds[1],
-        dt_ceiling=math.nan,
-        **structure,
-    )
-    return replace(kernel, dt_ceiling=collision_dt_ceiling(kernel, grid))
+    return CollisionKernel(kind, grid.dim, grid.weight, level, *bounds, **structure)
 
 
 def build_kernel(kind: str, grid: VelocityGrid, *, sigma0: float = 1.0,

@@ -19,8 +19,6 @@ __all__ = [
     "SaturationError",
     "EquilibriumProfile",
     "fermi_profile",
-    "density_of_kappa",
-    "solve_kappa",
     "solve_kappa_many",
     "global_equilibrium",
     "project",
@@ -51,18 +49,17 @@ def fermi_profile(kappa, grid: VelocityGrid) -> np.ndarray:
     return km / (1.0 + km)
 
 
-def density_of_kappa(kappa, grid: VelocityGrid):
-    """Velocity integral of the Fermi-Dirac profile at the given kappa."""
-    return integrate(fermi_profile(kappa, grid), grid)
-
-
 def solve_kappa_many(
     targets: np.ndarray,
     grid: VelocityGrid,
     rel_tol: float = 1e-12,
     initial: np.ndarray | None = None,
-) -> np.ndarray:
-    """Invert density -> kappa for a batch of target densities.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Invert density -> kappa for a 1-d batch of target densities.
+
+    Returns (kappa, profile): kappa one value per target, and profile the
+    (targets, nodes) Fermi-Dirac rows of the final, converged evaluation,
+    the same IEEE operations as `fermi_profile` of that kappa.
 
     Maintains a sign bracket [lo, hi] per entry; Newton steps that stay
     inside the bracket are taken, anything else bisects. `initial` is a
@@ -70,11 +67,6 @@ def solve_kappa_many(
     estimate target / int(M) seeds the iteration; a warm start that runs
     out of iterations restarts from that estimate.
     """
-    return _newton(targets, grid, rel_tol, initial)[0]
-
-
-def _newton(targets, grid: VelocityGrid, rel_tol: float, initial):
-    """`solve_kappa_many`, plus the profile of its final, converged evaluation."""
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 1:
         raise ValueError("targets must be a 1-d array of cell densities")
@@ -125,38 +117,26 @@ def _newton(targets, grid: VelocityGrid, rel_tol: float, initial):
         kappa = trial
     if initial is not None:
         # a warm start far above the root halves its way down too slowly
-        return _newton(targets, grid, rel_tol, None)
+        return solve_kappa_many(targets, grid, rel_tol)
     raise RuntimeError(
         f"kappa iteration failed to reach rel_tol={rel_tol:g} "
         f"in {MAX_NEWTON_ITER} steps"
     )
 
 
-def solve_kappa(
-    target_density: float,
-    grid: VelocityGrid,
-    rel_tol: float = 1e-12,
-    initial: float | None = None,
-) -> float:
-    """Scalar wrapper around `solve_kappa_many`."""
-    init = None if initial is None else np.array([initial], dtype=float)
-    return float(solve_kappa_many(np.array([target_density]), grid, rel_tol, init)[0])
+def global_equilibrium(mass: float, grid: VelocityGrid) -> EquilibriumProfile:
+    """Uniform equilibrium carrying the conserved mass on the unit torus.
 
-
-def global_equilibrium(initial_mass: float, spatial_volume: float,
-                       grid: VelocityGrid) -> EquilibriumProfile:
-    """Uniform equilibrium carrying the conserved mass.
-
-    The constant density initial_mass / spatial_volume fixes kappa; the
-    tight EQUILIBRIUM_REL_TOL keeps the equilibrium-distance floor of long
-    runs well below the diagnostic resolution.
+    The constant density, equal to the mass, fixes kappa; profile and
+    density come from the converged Newton evaluation. The tight
+    EQUILIBRIUM_REL_TOL keeps the equilibrium-distance floor of long runs
+    well below the diagnostic resolution.
     """
-    rho = initial_mass / spatial_volume
-    kappa = solve_kappa(rho, grid, rel_tol=EQUILIBRIUM_REL_TOL)
+    kappa, profile = solve_kappa_many(np.array([mass]), grid, EQUILIBRIUM_REL_TOL)
     return EquilibriumProfile(
-        kappa=kappa,
-        profile=fermi_profile(kappa, grid),
-        density=float(density_of_kappa(kappa, grid)),
+        kappa=float(kappa[0]),
+        profile=profile[0],
+        density=float(integrate(profile[0], grid)),
     )
 
 
@@ -175,5 +155,5 @@ def project(f: np.ndarray, grid: VelocityGrid, kappa_cache: np.ndarray | None = 
         raise ValueError("expected f shaped (cells, velocity nodes)")
     if rho is None:
         rho = integrate(f, grid)
-    kappa, profile = _newton(rho, grid, PROJECT_REL_TOL, kappa_cache)
+    kappa, profile = solve_kappa_many(rho, grid, PROJECT_REL_TOL, kappa_cache)
     return profile, kappa

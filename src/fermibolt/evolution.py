@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collision import CollisionKernel, apply_collision
+from .collision import CollisionKernel, apply_collision, collision_dt_ceiling
 from .config import ConfigError, ExperimentConfig
 from .equilibrium import fermi_profile
 from .fields import SpatialGrid
@@ -172,7 +172,8 @@ def plan_step(kernel: CollisionKernel, vgrid: VelocityGrid, sgrid: SpatialGrid,
     ceiling). The Courant limit is taken for one transport sub-step, dt / 2
     under Strang and dt under Lie, so where transport binds each sub-step
     runs at Courant number cfl_safety times the limit of its order (0.9 for
-    the defaults).
+    the defaults). The ceiling is `collision_dt_ceiling`, computed here
+    once per run; `step` never recomputes it.
 
     Raises ConfigError (a ValueError) naming the limit and the largest
     admissible dt when a pinned dt fails either check; a plan that is
@@ -180,7 +181,7 @@ def plan_step(kernel: CollisionKernel, vgrid: VelocityGrid, sgrid: SpatialGrid,
     update convex.
     """
     limit = _COURANT[config.transport]
-    ceiling = kernel.dt_ceiling
+    ceiling = collision_dt_ceiling(kernel, vgrid)
     fraction = 0.5 if config.splitting == "strang" else 1.0
     dt = config.dt
     if dt is None:

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .collision import CollisionKernel, apply_collision, build_kernel
+from .collision import TABLE_BUDGET_BYTES, CollisionKernel, apply_collision, build_kernel
 from .config import DELTA_CANDIDATES, ConfigError, ExperimentConfig, format_config
 from .equilibrium import EquilibriumProfile, global_equilibrium, project
 from .evolution import (
@@ -120,7 +120,6 @@ class RunResult:
     kernel: CollisionKernel
     equilibrium: EquilibriumProfile
     initial: InitialData
-    dt: float
     output_dir: str | None = None
 
 
@@ -271,14 +270,29 @@ def _write_manifest(snap_dir: str, config: ExperimentConfig) -> None:
         fh.write(format_config(config))
 
 
-def _check_state_budget(vgrid: VelocityGrid, sgrid: SpatialGrid) -> None:
-    """ConfigError when the run's resident state arrays exceed STATE_BUDGET_BYTES."""
-    total = RESIDENT_STATES * 8 * sgrid.cells * vgrid.n_nodes
+def _check_budgets(config: ExperimentConfig) -> None:
+    """ConfigError when the run's resident states or its kernel table exceed a budget.
+
+    Sized from the config alone, before any lattice array exists. The
+    table is n x n: n is nodes_per_axis for the `gaussian_bump` factor and
+    the velocity node count, which its header must declare, for a
+    `custom_table`. A velocity dimension the grid refuses is left to it.
+    """
+    if config.d_v not in (1, 2):
+        return
+    n_nodes = config.nodes_per_axis**config.d_v
+    total = RESIDENT_STATES * 8 * config.spatial_cells * n_nodes
     if total > STATE_BUDGET_BYTES:
         raise ConfigError(
-            f"{sgrid.cells} cells x {vgrid.n_nodes} velocity nodes: the run's "
+            f"{config.spatial_cells} cells x {n_nodes} velocity nodes: the run's "
             f"{RESIDENT_STATES} resident state arrays take {total} bytes "
             f"({total / 2**20:.6g} MiB), over the {STATE_BUDGET_BYTES // 2**20} MiB budget"
+        )
+    n = {"gaussian_bump": config.nodes_per_axis, "custom_table": n_nodes}.get(config.kernel, 0)
+    if 8 * n * n > TABLE_BUDGET_BYTES:
+        raise ConfigError(
+            f"{config.kernel} kernel: its {n} x {n} table takes {8 * n * n} bytes "
+            f"({8 * n * n / 2**20:.6g} MiB), over the {TABLE_BUDGET_BYTES // 2**20} MiB budget"
         )
 
 
@@ -302,13 +316,17 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     and the rate report is written in both text and key = value form.
 
     With `delta = auto` the first min(t_final, DELTA_WINDOW) of the run
-    itself chooses delta: its records are held, without E and ratio_c6,
-    until the step that closes the window; then delta is resolved, the
-    held records are completed and written, and the run streams on.
+    itself chooses delta, and until the step that closes the window the
+    records wait without E and ratio_c6. Once delta is known the loop
+    couples and writes every record not yet written, the one place a row
+    is written; a run stopped before that writes the waiting records in
+    `finally`, with E and ratio_c6 nan. Each interior snapshot record is
+    folded into the audit as it is made, and its index is kept for
+    `_close_audit`.
     """
     config.validate()
+    _check_budgets(config)  # before anything lattice-sized is allocated
     vgrid, sgrid, kernel = build_lattice(config)
-    _check_state_budget(vgrid, sgrid)  # before anything state-sized is allocated
     init = initial_state(
         sgrid,
         vgrid,
@@ -326,7 +344,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
 
     rho0, _ = moments(init.state.f, vgrid)
     mass0 = float(np.sum(rho0)) * sgrid.spacing
-    eq = global_equilibrium(mass0, sgrid.volume, vgrid)
+    eq = global_equilibrium(mass0, vgrid)
 
     delta = config.delta  # None until the window closes on an auto run
     n_steps = max(1, math.ceil(config.t_final / dt - 1e-12))
@@ -341,65 +359,61 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
         _write_manifest(snap_dir, replace(config, dt=dt))
         writer = CsvWriter(os.path.join(output_dir, "diagnostics.csv"))
 
-    state = init.state.copy()
-    records: list[DiagnosticsRecord] = []
-    audit = dict(AUDIT_START)
-
-    def on_record(step_index: int, state: PhaseState) -> None:
-        prev = records[-1] if records else None
-        record, seen = _diagnose(state, kernel, eq, prev)
-        # the run keeps each record's kappa as the next record's warm start
-        state.kappa_cache = seen[2]
-        _check_record(step_index, record, mass0)
-        if step_index == 0:
-            # every later state has passed `check_step` inside `step`
-            _check_sandwich(step_index, state.f, lower, upper)
-        if delta is not None:
-            record = _couple(record, delta)
-            if writer is not None:
-                writer.write(record)
-        records.append(record)
-        if (len(records) - 1) % SNAPSHOT_STRIDE == 0:
-            # the last step always records, so an end state is known here
-            if step_index in (0, n_steps):
-                audit["samples_skipped"] += 1
-            else:
-                audit_proof_chain(audit, state, seen, record, kernel=kernel, eq=eq)
-            if snap_dir is not None:
-                snapshot_dump(
-                    state, os.path.join(snap_dir, f"state_{step_index:08d}.snap")
-                )
-
     def check_step(step_index: int, state: PhaseState) -> None:
         # node totals first: far cheaper than `moments`, same mass to rounding
         totals = np.add.reduce(state.f, axis=0) * vgrid.weight
         _check_mass(step_index, float(np.add.reduce(totals)) * sgrid.spacing, mass0)
         _check_sandwich(step_index, state.f, lower, upper)
 
+    state = init.state.copy()
+    records: list[DiagnosticsRecord] = []
+    written = 0  # records[:written] are coupled, and in the CSV if there is one
+    audit = dict(AUDIT_START)
+    audited: list[int] = []  # indices of the records folded into `audit`
     try:
-        on_record(0, state)
-        for k in range(1, n_steps + 1):
-            state = step(state, plan, check=partial(check_step, k))
+        for k in range(n_steps + 1):
+            if k:
+                state = step(state, plan, check=partial(check_step, k))
+            # the last step always records, so an end state is known here
             recorded = k % config.record_every == 0 or k == n_steps
             if recorded:
-                on_record(k, state)
+                record, seen = _diagnose(state, kernel, eq, records[-1] if records else None)
+                # the run keeps each record's kappa as the next record's warm start
+                state.kappa_cache = seen[2]
+                _check_record(k, record, mass0)
+                if k == 0:
+                    # every later state has passed `check_step` inside `step`
+                    _check_sandwich(k, state.f, lower, upper)
+                records.append(record)
+                if (len(records) - 1) % SNAPSHOT_STRIDE == 0:
+                    if k in (0, n_steps):
+                        audit["samples_skipped"] += 1
+                    else:
+                        audit_proof_chain(audit, state, seen, record, kernel=kernel, eq=eq)
+                        audited.append(len(records) - 1)
+                    if snap_dir is not None:
+                        snapshot_dump(state, os.path.join(snap_dir, f"state_{k:08d}.snap"))
+                del seen  # its projection is state-sized: not resident during the steps
             if delta is None and k == n_window:
                 samples = [(r.t, r.H, r.pairing, r.dist_total) for r in records]
                 if not recorded:
-                    extra, _ = _diagnose(state, kernel, eq, None)
+                    extra = _diagnose(state, kernel, eq, None)[0]
                     samples.append((extra.t, extra.H, extra.pairing, extra.dist_total))
                 delta = _resolve_delta(samples)
-                records[:] = [_couple(r, delta) for r in records]
-                if writer is not None:
+                if snap_dir is not None:
                     _write_manifest(snap_dir, replace(config, dt=dt, delta=delta))
-                    for record in records:
-                        writer.write(record)
+            if delta is not None:
+                for i in range(written, len(records)):
+                    records[i] = _couple(records[i], delta)
+                    if writer is not None:
+                        writer.write(records[i])
+                written = len(records)
     finally:
         if writer is not None:
-            if delta is None:
-                # Stopped inside the window: keep the rows, E and ratio_c6 nan.
-                for record in records:
-                    writer.write(record)
+            # the rows the loop left, as a run stopped inside the delta window
+            # leaves: kept, with E and ratio_c6 nan
+            for record in records[written:]:
+                writer.write(record)
             writer.close()
     resolved = replace(config, dt=dt, delta=delta)
 
@@ -410,7 +424,6 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
         report = None
     if report is not None:
         # a fit has FIT_MIN_RECORDS records, so snapshot 10 is interior and audited
-        audited = range(SNAPSHOT_STRIDE, len(records) - 1, SNAPSHOT_STRIDE)
         report.lemma_constants = _close_audit(audit, audited, records)
         if output_dir is not None:
             write_rate_report(
@@ -426,7 +439,6 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
         kernel=kernel,
         equilibrium=eq,
         initial=init,
-        dt=dt,
         output_dir=output_dir,
     )
 

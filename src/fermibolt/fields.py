@@ -31,7 +31,6 @@ class SpatialGrid:
 
     cells: int
     spacing: float
-    volume: float
 
     @property
     def centers(self) -> np.ndarray:
@@ -41,7 +40,7 @@ class SpatialGrid:
 def build_spatial_grid(cells: int) -> SpatialGrid:
     if cells < 4:
         raise ValueError(f"need at least 4 spatial cells, got {cells}")
-    return SpatialGrid(cells=int(cells), spacing=1.0 / cells, volume=1.0)
+    return SpatialGrid(cells=int(cells), spacing=1.0 / cells)
 
 
 @dataclass(frozen=True)

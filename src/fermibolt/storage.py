@@ -49,13 +49,6 @@ class CsvWriter:
     def close(self) -> None:
         self._fh.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
 
 def load_csv(path: str):
     """Read diagnostics back; returns (records, n_warnings).

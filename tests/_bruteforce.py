@@ -333,7 +333,7 @@ def pilot_samples(result):
     from fermibolt.fields import FieldSet, moments, solve_poisson
     from fermibolt.functionals import field_current_pairing, relative_entropy, weighted_norm
 
-    config, eq, dt = result.config, result.equilibrium, result.dt
+    config, eq, dt = result.config, result.equilibrium, result.config.dt
     state = result.initial.state.copy()
     vg, sg = state.vgrid, state.sgrid
     plan = plan_step(result.kernel, vg, sg, config)  # config.dt is the run's dt
@@ -564,7 +564,7 @@ def seed_records(result):
     """
     from fermibolt.evolution import plan_step, step
 
-    config, dt = result.config, result.dt
+    config, dt = result.config, result.config.dt
     state = result.initial.state.copy()
     plan = plan_step(result.kernel, state.vgrid, state.sgrid, config)
     records, kappas = [], []

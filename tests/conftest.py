@@ -47,7 +47,7 @@ def refined_v_run(default_run):
 @pytest.fixture(scope="session")
 def refined_t_run(default_run):
     config = dataclasses.replace(
-        default_run.config, dt=default_run.dt / 2.0, delta=default_run.config.delta
+        default_run.config, dt=default_run.config.dt / 2.0, delta=default_run.config.delta
     )
     return run_experiment(config)
 

@@ -96,7 +96,7 @@ def test_criterion_03_entropy_decay(default_run):
     cell = lower + rng.uniform(0.0, 1.0, vg.n_nodes) * (upper - lower)
     f0 = np.tile(cell, (4, 1))
     mass0 = float(integrate(cell, vg))
-    eq = global_equilibrium(mass0, sg.volume, vg)
+    eq = global_equilibrium(mass0, vg)
     h0 = relative_entropy(f0, eq.profile, vg, sg)
     d0 = dissipation(f0, kernel, vg, sg)
     dt0 = 0.5 * collision_dt_ceiling(kernel, vg)
@@ -122,7 +122,7 @@ def test_criterion_03_entropy_decay(default_run):
 
 def test_criterion_04_equilibrium_fixed_point(fixed_point_run):
     res = fixed_point_run
-    n_steps = math.ceil(res.config.t_final / res.dt - 1e-12)
+    n_steps = math.ceil(res.config.t_final / res.config.dt - 1e-12)
     worst = max(r.dist_total for r in res.records)
     ok = n_steps >= 1000 and worst <= 1e-12
     _report(

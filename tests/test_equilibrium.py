@@ -6,11 +6,9 @@ import pytest
 from fermibolt.velocity import build_velocity_grid, integrate
 from fermibolt.equilibrium import (
     SaturationError,
-    density_of_kappa,
     fermi_profile,
     global_equilibrium,
     project,
-    solve_kappa,
     solve_kappa_many,
 )
 
@@ -25,6 +23,15 @@ RHO_CONTINUUM = {
     2.0: 1.3091042743975398,
     3.7: 1.9074482627644596,
 }
+
+
+def density_of_kappa(kappa, grid):
+    return integrate(fermi_profile(kappa, grid), grid)
+
+
+def solve_kappa(target, grid):
+    """The kappa of one target density, a one-element batch."""
+    return float(solve_kappa_many(np.array([target]), grid)[0][0])
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +91,10 @@ def test_solve_kappa_against_bisection_oracle(grid):
         assert math.isclose(fast, slow, rel_tol=1e-10)
 
 
-def test_solve_kappa_many_matches_scalar(grid):
+def test_solve_kappa_many_batch_equals_one_element_batches(grid):
     rng = np.random.default_rng(12)
     targets = rng.uniform(0.05, 3.0, size=32)
-    many = solve_kappa_many(targets, grid)
+    many, _ = solve_kappa_many(targets, grid)
     for target, kappa in zip(targets, many):
         assert math.isclose(kappa, solve_kappa(target, grid), rel_tol=1e-12)
 
@@ -95,8 +102,8 @@ def test_solve_kappa_many_matches_scalar(grid):
 def test_solve_kappa_many_warm_start(grid):
     rng = np.random.default_rng(13)
     targets = rng.uniform(0.2, 2.5, size=16)
-    cold = solve_kappa_many(targets, grid)
-    warm = solve_kappa_many(targets, grid, initial=cold)
+    cold, _ = solve_kappa_many(targets, grid)
+    warm, _ = solve_kappa_many(targets, grid, initial=cold)
     assert np.allclose(warm, cold, rtol=1e-12, atol=0.0)
 
 
@@ -114,7 +121,7 @@ def test_solve_kappa_rejects_bad_targets(grid):
 
 def test_global_equilibrium_recovers_kappa_one(grid):
     mass = density_of_kappa(1.0, grid) * 1.0  # unit spatial volume
-    eq = global_equilibrium(mass, 1.0, grid)
+    eq = global_equilibrium(mass, grid)
     assert math.isclose(eq.kappa, 1.0, rel_tol=1e-12)
     assert np.allclose(eq.profile, fermi_profile(1.0, grid), rtol=1e-12, atol=0.0)
     assert math.isclose(eq.density, mass, rel_tol=1e-12)

@@ -123,7 +123,7 @@ def test_step_size_policy(sgrid, vgrid, kernel):
                 if order == "muscl2":
                     assert np.array_equal(pinned.muscl, plan.muscl)
     coarse = plan_step(kernel, vgrid, build_spatial_grid(4), ExperimentConfig())
-    assert coarse.dt == 0.9 * kernel.dt_ceiling
+    assert coarse.dt == 0.9 * ceiling
 
 
 def test_transport_advects_step_profile(vgrid):
@@ -265,17 +265,26 @@ def test_collision_substep_orders(vgrid):
         assert window[0] <= order <= window[1]
 
 
-def test_step_reads_the_stored_collision_ceiling(sgrid, vgrid, monkeypatch):
+def test_collision_ceiling_is_computed_in_plan_step_never_in_step(sgrid, vgrid, monkeypatch):
     kern = build_kernel("gaussian_bump", vgrid)
-    assert kern.dt_ceiling == collision_dt_ceiling(kern, vgrid)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return collision_dt_ceiling(*args)
+
+    monkeypatch.setattr(evolution, "collision_dt_ceiling", counted)
+    init = initial_state(sgrid, vgrid, 1.0, 0.5)
+    plans = [_step_plan(kern, init.state, splitting=s) for s in ("lie", "strang")]
+    assert calls == [2]  # one per plan
 
     def recomputed(*args):
-        raise AssertionError("collision ceiling recomputed after the kernel build")
+        raise AssertionError("collision ceiling recomputed after the step was planned")
 
+    monkeypatch.setattr(evolution, "collision_dt_ceiling", recomputed)
     monkeypatch.setattr(collision, "collision_dt_ceiling", recomputed)
-    init = initial_state(sgrid, vgrid, 1.0, 0.5)
-    for splitting in ("lie", "strang"):
-        step(init.state.copy(), _step_plan(kern, init.state, splitting=splitting))
+    for plan in plans:
+        step(init.state.copy(), plan)
 
 
 def test_full_step_advances_time_exactly(sgrid, vgrid, kernel):

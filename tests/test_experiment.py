@@ -5,12 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import closing
 
 import numpy as np
 import pytest
 
 from fermibolt import cli, evolution, experiment
-from fermibolt.collision import build_kernel
+from fermibolt.collision import build_kernel, collision_dt_ceiling
 from fermibolt.config import (
     DELTA_CANDIDATES,
     ConfigError,
@@ -244,14 +245,14 @@ def auto_run(request, tmp_path_factory):
 
 def test_auto_delta_steps_each_trajectory_once(auto_run):
     _, result, seen = auto_run
-    n_steps = math.ceil(result.config.t_final / result.dt - 1e-12)
+    n_steps = math.ceil(result.config.t_final / result.config.dt - 1e-12)
     assert seen["steps"] == n_steps
 
 
 def test_auto_delta_scans_the_two_pass_pilot_samples(auto_run):
     config, result, seen = auto_run
-    n_steps = math.ceil(config.t_final / result.dt - 1e-12)
-    n_window = math.ceil(min(config.t_final, 5.0) / result.dt - 1e-12)
+    n_steps = math.ceil(config.t_final / result.config.dt - 1e-12)
+    n_window = math.ceil(min(config.t_final, 5.0) / result.config.dt - 1e-12)
     if config.t_final > 5.0:
         assert n_window < n_steps and n_window % config.record_every != 0
     pilot = bf.pilot_samples(result)
@@ -372,7 +373,7 @@ def test_run_builds_the_step_plan_once(splitting, transport_calls, monkeypatch):
         splitting=splitting,
     )
     result = run_experiment(config)
-    n_steps = math.ceil(config.t_final / result.dt - 1e-12)
+    n_steps = math.ceil(config.t_final / result.config.dt - 1e-12)
     assert calls["plan"] == 1
     assert calls["transport"] == transport_calls * n_steps
     assert calls["collision"] == n_steps
@@ -394,7 +395,7 @@ def test_pinned_dt_over_the_limit_writes_nothing(limit, tmp_path):
     else:
         # a hundred-fold kernel: the ceiling binds well below the Courant limit
         config = dataclasses.replace(config, sigma0=100.0)
-        ceiling = build_kernel("constant", vgrid, sigma0=100.0).dt_ceiling
+        ceiling = collision_dt_ceiling(build_kernel("constant", vgrid, sigma0=100.0), vgrid)
         config = dataclasses.replace(config, dt=2.0 * ceiling)
         message = "monotonicity ceiling"
     out = tmp_path / "out"
@@ -408,7 +409,7 @@ def test_pinned_dt_over_the_limit_writes_nothing(limit, tmp_path):
 
 def test_fixed_point_is_stationary(fixed_point_run):
     res = fixed_point_run
-    n_steps = math.ceil(res.config.t_final / res.dt - 1e-12)
+    n_steps = math.ceil(res.config.t_final / res.config.dt - 1e-12)
     assert n_steps >= 1000
     assert max(r.dist_total for r in res.records) <= 1e-12
     assert np.array_equal(res.final_state.f, res.initial.state.f)
@@ -459,7 +460,7 @@ def _audit_from_artifacts(out_dir):
     vgrid, sgrid, kernel = build_lattice(config)
     records, warnings = load_csv(os.path.join(out_dir, "diagnostics.csv"))
     assert warnings == 0
-    eq = global_equilibrium(records[0].mass, sgrid.volume, vgrid)
+    eq = global_equilibrium(records[0].mass, vgrid)
     return audit_snapshots(records, snapshot_states(out_dir), kernel=kernel, eq=eq)
 
 
@@ -471,13 +472,28 @@ def auto_delta_run(tmp_path_factory):
     return run_experiment(config, output_dir=str(out))
 
 
-@pytest.mark.parametrize("name", ["tiny_run", "auto_delta_run"], ids=["pinned", "auto"])
+@pytest.fixture(scope="module")
+def boundary_run(tmp_path_factory):
+    """A run of 31 records: its last snapshot record is the final record."""
+    out = tmp_path_factory.mktemp("boundary_run")
+    config = ExperimentConfig(nodes_per_axis=16, spatial_cells=16, t_final=4.5,
+                              record_every=10)
+    result = run_experiment(config, output_dir=str(out))
+    assert len(result.records) == 3 * SNAPSHOT_STRIDE + 1
+    return result
+
+
+@pytest.mark.parametrize("name", ["tiny_run", "auto_delta_run", "boundary_run"],
+                         ids=["pinned", "auto", "last-record-snapshot"])
 def test_run_and_post_hoc_audits_agree_bitwise(name, request):
     # the run folds each snapshot record from its own observation; the
     # post-hoc audit reads the snapshot back and observes it again
     result = request.getfixturevalue(name)
     constants = result.rate_report.lemma_constants
     assert constants["samples_used"] >= 1
+    # every snapshot record but the first and the last is folded
+    interior = range(SNAPSHOT_STRIDE, len(result.records) - 1, SNAPSHOT_STRIDE)
+    assert constants["samples_used"] == len(interior)
     post_hoc = _audit_from_artifacts(result.output_dir)
     assert list(post_hoc) == list(constants)
     assert post_hoc == constants
@@ -526,7 +542,7 @@ def test_run_artifacts_complete(default_run):
 
     snap_dir = os.path.join(out, "snapshots")
     manifest = load_config(os.path.join(snap_dir, "manifest.cfg"))
-    assert manifest.dt == default_run.dt
+    assert manifest.dt == default_run.config.dt
     assert manifest.delta == default_run.config.delta
     assert manifest.nodes_per_axis == 64
     assert manifest.spatial_cells == 64
@@ -580,7 +596,7 @@ def test_cli_fit(cli_run_dir, capsys):
 def test_cli_fit_reports_failure(tmp_path, capsys):
     path = tmp_path / "short.csv"
     t = np.array([0.0, 0.1, 0.2])
-    with CsvWriter(str(path)) as writer:
+    with closing(CsvWriter(str(path))) as writer:
         for rec in _fake_records(t, np.exp(-t), np.exp(-2.0 * t)):
             writer.write(rec)
     assert cli.main(["fit", str(path)]) == 1

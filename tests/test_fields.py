@@ -32,7 +32,7 @@ def vgrid():
 def test_grid_basics(sgrid):
     assert sgrid.cells == 64
     assert math.isclose(sgrid.spacing, 1.0 / 64, rel_tol=1e-15)
-    assert math.isclose(sgrid.volume, 1.0, rel_tol=1e-15)
+    assert math.isclose(sgrid.cells * sgrid.spacing, 1.0, rel_tol=1e-15)  # the unit torus
     assert np.allclose(sgrid.centers, (np.arange(64) + 0.5) / 64, atol=1e-15)
     with pytest.raises(ValueError):
         build_spatial_grid(3)

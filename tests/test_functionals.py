@@ -34,7 +34,7 @@ def sgrid():
 @pytest.fixture(scope="module")
 def eq(vgrid):
     mass = float(integrate(fermi_profile(1.0, vgrid), vgrid))
-    return global_equilibrium(mass, 1.0, vgrid)
+    return global_equilibrium(mass, vgrid)
 
 
 def _random_admissible(rng, vgrid, n_cells, kappa_lo=0.5, kappa_hi=2.0):
@@ -210,7 +210,7 @@ def test_lyapunov_reduces_to_entropy(vgrid, sgrid):
     rho, j = moments(f, vgrid)
     # the reference equilibrium must carry the same total mass, else the
     # Poisson source is not neutral
-    eq = global_equilibrium(float(np.sum(rho)) * sgrid.spacing, 1.0, vgrid)
+    eq = global_equilibrium(float(np.sum(rho)) * sgrid.spacing, vgrid)
     phi, grad = solve_poisson(rho, eq.density, sgrid)
     fields = FieldSet(rho=rho, j=j, phi=phi, grad_phi=grad)
     h = relative_entropy(f, eq.profile, vgrid, sgrid)

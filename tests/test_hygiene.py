@@ -1,9 +1,12 @@
-"""Source hygiene: no unused import and no unused function parameter in src/,
-and every attribute the benchmark's tracer wraps still exists.
+"""Source hygiene: no unused import, no unused function parameter and no
+export without a caller in src/, and every attribute the benchmark's
+tracer wraps still exists.
 
 An AST scan of every module of the package. A name counts as used when
 it is loaded anywhere in its module (annotations included) or listed in
-`__all__`; a parameter counts as used when its function body loads it.
+`__all__`; a parameter counts as used when its function body loads it;
+an exported name has a caller when some statement of src/ other than its
+own definition loads it, by name or as an attribute.
 """
 import ast
 import importlib
@@ -19,9 +22,8 @@ TRACER_EXTRA = (("fermibolt.experiment", "global_equilibrium"),
                 ("fermibolt.experiment", "build_kernel"))
 
 # Signatures a caller fixes: the CLI handlers share `args`; `self`/`cls`
-# and the context-manager protocol need no use.
+# need no use.
 EXEMPT_PARAMETERS = {"self", "cls"}
-EXEMPT_FUNCTIONS = {"__exit__"}
 
 
 def _is_cli_handler(path, function):
@@ -67,7 +69,7 @@ def unused_parameters(path):
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if node.name in EXEMPT_FUNCTIONS or _is_cli_handler(path, node):
+        if _is_cli_handler(path, node):
             continue
         spec = node.args
         params = spec.posonlyargs + spec.args + spec.kwonlyargs
@@ -87,6 +89,38 @@ def test_no_unused_imports():
 
 def test_no_unused_parameters():
     assert [hit for path in MODULES for hit in unused_parameters(path)] == []
+
+
+def _defines(node, name):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name == name
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(isinstance(target, ast.Name) and target.id == name for target in targets)
+
+
+def _loads(node):
+    """Every name a statement loads, directly or as an attribute."""
+    names = _loaded_names(node)
+    names |= {sub.attr for sub in ast.walk(node)
+              if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    return names
+
+
+def exports_without_caller():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    # (module index, top-level statement, the names it loads)
+    statements = [(i, node, _loads(node)) for i, tree in enumerate(trees) for node in tree.body]
+    found = []
+    for i, (path, tree) in enumerate(zip(MODULES, trees)):
+        for name in sorted(_exported(tree)):
+            if not any(name in loads for j, node, loads in statements
+                       if not (j == i and _defines(node, name))):
+                found.append(f"{path.name}: {name}")
+    return found
+
+
+def test_every_export_has_a_caller():
+    assert exports_without_caller() == []
 
 
 def traced_attributes():

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from fermibolt import cli, experiment
-from fermibolt.collision import build_kernel
+from fermibolt.collision import build_kernel, collision_dt_ceiling
 from fermibolt.config import ConfigError, ExperimentConfig, format_config
 from fermibolt.equilibrium import fermi_profile, project, solve_kappa_many
+from fermibolt.evolution import plan_step
 from fermibolt.experiment import AUDIT_DIST_FLOOR, SNAPSHOT_STRIDE, observe, run_experiment
 from fermibolt.functionals import RECORD_FIELDS
 from fermibolt.velocity import build_velocity_grid, integrate
@@ -98,7 +99,7 @@ def kappa_targets(request):
 
 def test_solve_kappa_many_matches_seed_oracle_from_cold_starts(kappa_targets):
     grid, targets = kappa_targets
-    got = solve_kappa_many(targets, grid)
+    got, _ = solve_kappa_many(targets, grid)
     assert np.array_equal(got, bf.seed_solve_kappa_many(targets, grid))
 
 
@@ -108,7 +109,7 @@ def test_solve_kappa_many_matches_seed_oracle_outside_the_bracket(kappa_targets,
     # iteration bisects before Newton takes over.
     grid, targets = kappa_targets
     initial = np.full_like(targets, start)
-    got = solve_kappa_many(targets, grid, initial=initial)
+    got, _ = solve_kappa_many(targets, grid, initial=initial)
     assert np.array_equal(got, bf.seed_solve_kappa_many(targets, grid, initial=initial))
 
 
@@ -117,8 +118,8 @@ def test_solve_kappa_many_restarts_a_runaway_warm_start_cold(kappa_targets):
     # From 1e300 the bisection halves for over 900 steps, past MAX_NEWTON_ITER;
     # the solve then restarts from the cold estimate.
     grid, targets = kappa_targets
-    got = solve_kappa_many(targets, grid, initial=np.full_like(targets, 1e300))
-    assert np.array_equal(got, solve_kappa_many(targets, grid))
+    got, _ = solve_kappa_many(targets, grid, initial=np.full_like(targets, 1e300))
+    assert np.array_equal(got, solve_kappa_many(targets, grid)[0])
 
 
 def test_project_returns_the_profile_of_its_kappa(kappa_targets):
@@ -201,7 +202,7 @@ def test_cli_run_refuses_an_over_limit_dt(limit, tmp_path, capsys):
         name = "CFL condition"
     else:
         config = ExperimentConfig(nodes_per_axis=16, spatial_cells=16, sigma0=100.0)
-        largest = build_kernel("constant", vgrid, sigma0=100.0).dt_ceiling
+        largest = collision_dt_ceiling(build_kernel("constant", vgrid, sigma0=100.0), vgrid)
         config.dt = 2.0 * largest
         name = "monotonicity ceiling"
     cfg = tmp_path / "run.cfg"
@@ -298,8 +299,54 @@ def test_cli_run_refuses_a_state_over_the_budget(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+# lattices whose refusal once came only after build_lattice, or never
+OVER_BUDGET = {
+    # the 4096 x 4096 Gaussian factor; the 13 states take under 2 MiB
+    "1d-gaussian_bump-4096": ("kernel = gaussian_bump\nnodes_per_axis = 4096\n"
+                              "spatial_cells = 4\n",
+                              "gaussian_bump kernel: its 4096 x 4096 table takes "
+                              "134217728 bytes (128 MiB), over the 64 MiB budget"),
+    "2d-constant-2048sq": ("d_v = 2\nnodes_per_axis = 2048\nspatial_cells = 4\n",
+                           "4 cells x 4194304 velocity nodes: the run's 13 resident "
+                           "state arrays take 1744830464 bytes (1664 MiB), over the "
+                           "512 MiB budget"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_BUDGET))
+def test_cli_run_refuses_an_over_budget_lattice_from_the_config(tmp_path, capsys,
+                                                                 monkeypatch, case):
+    def allocated(*args):
+        raise AssertionError("the velocity lattice was built before the budget check")
+
+    monkeypatch.setattr(experiment, "build_velocity_grid", allocated)
+    text, message = OVER_BUDGET[case]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"run failed: {message}"]
+    assert not out.exists()
+
+
+def test_resident_states_counts_the_plan_layout():
+    # the plan's (cells, nodes) arrays plus the run's own six: the two
+    # barrier tiles, the initial and current state, a step's two fresh results
+    config = ExperimentConfig(nodes_per_axis=16, spatial_cells=8, transport="muscl2")
+    vgrid, sgrid, kernel = experiment.build_lattice(config)
+    plan = plan_step(kernel, vgrid, sgrid, config)
+    arrays = [value for field in vars(plan).values()
+              for value in (field if isinstance(field, tuple) else (field,))
+              if isinstance(value, np.ndarray)]
+    assert all(a.shape == (sgrid.cells, vgrid.n_nodes) for a in arrays)
+    assert len(arrays) + 6 == experiment.RESIDENT_STATES
+
+
 def test_cli_run_refuses_an_oversized_kernel_table(tmp_path, capsys):
-    # a header-only table on the matching 64^2 lattice: 4096^2 doubles
+    # a header-only table on the matching 64^2 lattice: 4096^2 doubles, refused
+    # from the config before the file is read
     table = tmp_path / "table.txt"
     table.write_text("4096\n", encoding="utf-8")
     cfg = tmp_path / "run.cfg"
@@ -309,7 +356,7 @@ def test_cli_run_refuses_an_oversized_kernel_table(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"run failed: kernel table {table} declares N=4096: its table takes "
+        "run failed: custom_table kernel: its 4096 x 4096 table takes "
         "134217728 bytes (128 MiB), over the 64 MiB budget"
     ]
     assert not (tmp_path / "out").exists()

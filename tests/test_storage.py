@@ -1,3 +1,5 @@
+from contextlib import closing
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from fermibolt.storage import (
 
 
 def write_csv(records, path):
-    with CsvWriter(path) as writer:
+    with closing(CsvWriter(path)) as writer:
         for record in records:
             writer.write(record)
 
@@ -54,7 +56,7 @@ def test_csv_header_schema(tmp_path):
 def test_csv_writer_streams(tmp_path):
     path = tmp_path / "diag.csv"
     records = _records(3)
-    with CsvWriter(str(path)) as writer:
+    with closing(CsvWriter(str(path))) as writer:
         writer.write(records[0])
         # the header and the first row must already be on disk
         lines = path.read_text().splitlines()
