@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import sys
 
@@ -58,15 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--seed", type=int, default=None, help="override the config seed"
     )
+    p_run.set_defaults(handler=_cmd_run)
 
     p_fit = sub.add_parser("fit", help="fit a decay rate from a diagnostics CSV")
     p_fit.add_argument("csv", help="path to diagnostics.csv")
-    p_fit.add_argument(
-        "--delta",
-        type=float,
-        default=math.nan,
-        help="delta used when the CSV was produced (report label only)",
-    )
+    p_fit.set_defaults(handler=_cmd_fit)
 
     p_audit = sub.add_parser(
         "audit", help="recompute inequality constants from run artifacts"
@@ -75,8 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument(
         "snapshots", help="snapshot directory (holds *.snap and manifest.cfg)"
     )
+    p_audit.set_defaults(handler=_cmd_audit)
 
-    sub.add_parser("check", help="run built-in sanity configurations")
+    p_check = sub.add_parser("check", help="run built-in sanity configurations")
+    p_check.set_defaults(handler=_cmd_check)
     return parser
 
 
@@ -138,7 +135,7 @@ def _cmd_fit(args) -> int:
     if records is None:
         return 1
     try:
-        report = estimate_decay_rate(records, args.delta)
+        report = estimate_decay_rate(records)
     except FitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 1
@@ -153,7 +150,7 @@ def _cmd_fit(args) -> int:
 def _cmd_audit(args) -> int:
     from .config import ConfigError, load_config
     from .equilibrium import global_equilibrium
-    from .experiment import audit_snapshots, build_lattice
+    from .experiment import audit_snapshots, build_lattice, kv_lines
     from .storage import SnapshotError, snapshot_load
 
     csv_path = args.csv
@@ -188,11 +185,8 @@ def _cmd_audit(args) -> int:
         # every snapshot on a trajectory end, or one unreadable or off-lattice
         print(f"audit failed: {exc}", file=sys.stderr)
         return 1
-    for key, value in constants.items():
-        if isinstance(value, float):
-            print(f"{key} = {value:.12g}")
-        else:
-            print(f"{key} = {value}")
+    for line in kv_lines(constants.items(), ".12g"):
+        print(line)
     return 0
 
 
@@ -270,19 +264,9 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     _pin_threads(args.threads)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "fit":
-        return _cmd_fit(args)
-    if args.command == "audit":
-        return _cmd_audit(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -61,7 +61,6 @@ class CollisionKernel:
     dim: int
     node_weight: float
     level: float
-    sigma_minus: float
     sigma_plus: float
     bump: np.ndarray | None = None   # (n_axis, n_axis) exp(-(u_a - u_b)^2 / 2)
     table: np.ndarray | None = None  # (n_nodes, n_nodes), custom_table only
@@ -112,9 +111,9 @@ def collision_dt_ceiling(kernel: CollisionKernel, vgrid: VelocityGrid) -> float:
     return 1.0 / (kernel.sigma_plus * (m0 + rho_max))
 
 
-def _make_kernel(kind: str, grid: VelocityGrid, level: float,
-                 bounds: tuple[float, float], **structure) -> CollisionKernel:
-    return CollisionKernel(kind, grid.dim, grid.weight, level, *bounds, **structure)
+def _make_kernel(kind: str, grid: VelocityGrid, level: float, sigma_plus: float,
+                 **structure) -> CollisionKernel:
+    return CollisionKernel(kind, grid.dim, grid.weight, level, sigma_plus, **structure)
 
 
 def build_kernel(kind: str, grid: VelocityGrid, *, sigma0: float = 1.0,
@@ -123,12 +122,11 @@ def build_kernel(kind: str, grid: VelocityGrid, *, sigma0: float = 1.0,
     if kind == "constant":
         if sigma0 <= 0.0:
             raise ValueError(f"constant kernel needs sigma0 > 0, got {sigma0:g}")
-        return _make_kernel(kind, grid, float(sigma0), (sigma0, sigma0))
+        return _make_kernel(kind, grid, float(sigma0), sigma0)
     if kind == "gaussian_bump":
         axis = grid.nodes[: grid.nodes_per_axis, -1]  # last axis varies fastest
         diff = axis[:, None] - axis[None, :]
-        return _make_kernel(kind, grid, 1.0, (1.0, 1.5),
-                            bump=np.exp(-0.5 * diff * diff))
+        return _make_kernel(kind, grid, 1.0, 1.5, bump=np.exp(-0.5 * diff * diff))
     if kind == "custom_table":
         if table_path is None:
             raise ValueError("custom_table kernel needs a file path")
@@ -178,8 +176,7 @@ def load_kernel_table(path: str, grid: VelocityGrid) -> CollisionKernel:
     lo = float(matrix.min())
     if lo <= 0.0:
         raise ValueError(f"kernel values must be positive, found {lo:g}")
-    return _make_kernel("custom_table", grid, math.nan, (lo, float(matrix.max())),
-                        table=matrix)
+    return _make_kernel("custom_table", grid, math.nan, float(matrix.max()), table=matrix)
 
 
 def apply_collision(f: np.ndarray, kernel: CollisionKernel, grid: VelocityGrid,

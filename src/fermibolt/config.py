@@ -50,10 +50,10 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         # a non-finite value fails here, and every comparison below is
         # written so that NaN fails it too
-        for name in sorted(_FLOAT_KEYS | _AUTO_FLOAT_KEYS):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        for field in dataclass_fields(self):
+            value = getattr(self, field.name)
+            if field.type in _FLOATS and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be a finite number, got {value!r}")
         if self.kernel not in KERNELS:
             raise ConfigError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
         if self.kernel == "custom_table" and not self.kernel_file:
@@ -85,18 +85,20 @@ class ExperimentConfig:
         return self
 
 
-_INT_KEYS = {"d_v", "nodes_per_axis", "spatial_cells", "seed", "record_every"}
-_FLOAT_KEYS = {
-    "half_width", "sigma0", "kappa_bar", "amplitude", "perturbation",
-    "cfl_safety", "t_final",
+# A key's kind is its field's annotation, a string under the `annotations`
+# future import; `float | None` also takes `auto`, held as None.
+_READERS = {
+    "int": int,
+    "float": float,
+    "float | None": lambda text: None if text == "auto" else float(text),
+    "str": str,
 }
-_AUTO_FLOAT_KEYS = {"dt", "delta"}
-_STR_KEYS = {"kernel", "kernel_file", "transport", "splitting"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _AUTO_FLOAT_KEYS | _STR_KEYS
+_FLOATS = ("float", "float | None")
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse key = value lines; '#' starts a comment, blank lines skipped."""
+    kinds = {field.name: field.type for field in dataclass_fields(ExperimentConfig)}
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -107,19 +109,12 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _AUTO_FLOAT_KEYS:
-                values[key] = None if value == "auto" else float(value)
-            else:
-                values[key] = value
+            values[key] = _READERS[kinds[key]](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
         if isinstance(values[key], float) and not math.isfinite(values[key]):
@@ -137,8 +132,8 @@ def format_config(config: ExperimentConfig) -> str:
     lines = []
     for field in dataclass_fields(config):
         value = getattr(config, field.name)
-        if field.name in _AUTO_FLOAT_KEYS:
-            text = "auto" if value is None else f"{value:.17g}"
+        if value is None:
+            text = "auto"
         elif isinstance(value, float):
             text = f"{value:.17g}"
         else:

@@ -86,8 +86,6 @@ class InitialData:
     """Initial state plus the Fermi-Dirac barriers it sits between."""
 
     state: PhaseState
-    kappa_minus: float
-    kappa_plus: float
     f_lower: np.ndarray  # (velocity nodes,)
     f_upper: np.ndarray
 
@@ -114,10 +112,8 @@ def initial_state(
         raise ValueError("perturbation size must be nonnegative")
     kappa_x = kappa_bar * (1.0 + amplitude * np.cos(2.0 * np.pi * sgrid.centers))
     f = fermi_profile(kappa_x, vgrid)
-    kappa_minus = kappa_bar * (1.0 - amplitude)
-    kappa_plus = kappa_bar * (1.0 + amplitude)
-    f_lower = fermi_profile(kappa_minus, vgrid)
-    f_upper = fermi_profile(kappa_plus, vgrid)
+    f_lower = fermi_profile(kappa_bar * (1.0 - amplitude), vgrid)
+    f_upper = fermi_profile(kappa_bar * (1.0 + amplitude), vgrid)
     if perturbation > 0.0:
         rng = np.random.default_rng(seed)
         f = f + perturbation * rng.uniform(-1.0, 1.0, size=f.shape)
@@ -125,13 +121,7 @@ def initial_state(
     state = PhaseState(
         f=f, time=0.0, vgrid=vgrid, sgrid=sgrid, kappa_cache=kappa_x.copy()
     )
-    return InitialData(
-        state=state,
-        kappa_minus=kappa_minus,
-        kappa_plus=kappa_plus,
-        f_lower=f_lower,
-        f_upper=f_upper,
-    )
+    return InitialData(state=state, f_lower=f_lower, f_upper=f_upper)
 
 
 def _minmod(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -264,7 +254,8 @@ def _sub_step(f: np.ndarray, plan: StepPlan,
         # (b + a) * 0.5 rounds as 0.5 b + 0.5 a: halving is exact and
         # rounding scale-invariant while no operand is below 2^-1021. The
         # sandwich keeps states above f_lower, far above that: about
-        # 2e-28 kappa_minus at the corner of the 2-d 64^2, half_width 8 lattice
+        # 2e-28 times the lower barrier's kappa at the corner of the 2-d
+        # 64^2, half_width 8 lattice
         f_new += f
         f_new *= 0.5
     else:

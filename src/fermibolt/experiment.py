@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -59,6 +59,7 @@ __all__ = [
     "audit_proof_chain",
     "audit_snapshots",
     "choose_delta",
+    "kv_lines",
     "observe",
     "write_rate_report",
     "SNAPSHOT_STRIDE",
@@ -297,7 +298,12 @@ def _check_budgets(config: ExperimentConfig) -> None:
 
 
 def build_lattice(config: ExperimentConfig):
-    """(vgrid, sgrid, kernel) of a run; ConfigError if the lattice or kernel file fails."""
+    """(vgrid, sgrid, kernel) of a run; ConfigError if the lattice or kernel file fails.
+
+    The memory budgets are checked first, before anything lattice-sized
+    is allocated.
+    """
+    _check_budgets(config)
     try:
         vgrid = build_velocity_grid(config.d_v, config.half_width, config.nodes_per_axis)
         sgrid = build_spatial_grid(config.spatial_cells)
@@ -325,7 +331,6 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     `_close_audit`.
     """
     config.validate()
-    _check_budgets(config)  # before anything lattice-sized is allocated
     vgrid, sgrid, kernel = build_lattice(config)
     init = initial_state(
         sgrid,
@@ -628,7 +633,18 @@ def audit_snapshots(records, states, *, kernel: CollisionKernel,
     return _close_audit(out, audited, records)
 
 
+def kv_lines(items, float_format: str) -> list[str]:
+    """`key = value` lines of (key, value) pairs: floats in `float_format`, the rest as str."""
+    return [f"{key} = {value:{float_format}}" if isinstance(value, float) else f"{key} = {value}"
+            for key, value in items]
+
+
 def write_rate_report(report: RateReport, txt_path: str, kv_path: str) -> None:
+    """The report as text and as `key = value` lines.
+
+    The key = value file holds the RateReport fields in declaration
+    order, then the lemma constants in audit order.
+    """
     lines = [
         "decay-rate fit",
         "==============",
@@ -641,23 +657,10 @@ def write_rate_report(report: RateReport, txt_path: str, kv_path: str) -> None:
     ]
     if report.lemma_constants:
         lines += ["", "proof-chain constants (empirical)", "---------------------------------"]
-        for key, value in report.lemma_constants.items():
-            if isinstance(value, float):
-                lines.append(f"{key} = {value:.6g}")
-            else:
-                lines.append(f"{key} = {value}")
+        lines += kv_lines(report.lemma_constants.items(), ".6g")
     with open(txt_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+    row = asdict(report)
+    row.update(row.pop("lemma_constants"))
     with open(kv_path, "w", encoding="utf-8") as fh:
-        fh.write(f"lambda_obs = {report.lambda_obs:.17g}\n")
-        fh.write(f"c_obs = {report.c_obs:.17g}\n")
-        fh.write(f"r_squared = {report.r_squared:.17g}\n")
-        fh.write(f"window_start = {report.window_start:.17g}\n")
-        fh.write(f"window_end = {report.window_end:.17g}\n")
-        fh.write(f"n_fit_records = {report.n_fit_records}\n")
-        fh.write(f"delta = {report.delta:.17g}\n")
-        for key, value in report.lemma_constants.items():
-            if isinstance(value, float):
-                fh.write(f"{key} = {value:.17g}\n")
-            else:
-                fh.write(f"{key} = {value}\n")
+        fh.write("\n".join(kv_lines(row.items(), ".17g")) + "\n")

@@ -34,7 +34,6 @@ def test_constant_kernel(grid):
     kernel = build_kernel("constant", grid, sigma0=1.0)
     assert kernel.level == 1.0
     assert kernel.bump is None and kernel.table is None
-    assert kernel.sigma_minus == 1.0
     assert kernel.sigma_plus == 1.0
     scaled = build_kernel("constant", grid, sigma0=0.25)
     assert scaled.level == 0.25
@@ -46,7 +45,6 @@ def test_gaussian_bump_kernel(grid):
     assert np.allclose(np.diag(table), 1.5, rtol=0.0, atol=1e-15)
     far = table[0, -1]  # nodes at opposite ends of the box
     assert abs(far - 1.0) < 1e-12
-    assert kernel.sigma_minus == 1.0
     assert kernel.sigma_plus == 1.5
     assert np.array_equal(table, table.T)
     assert np.all(table > 0.0)

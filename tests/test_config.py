@@ -45,6 +45,37 @@ def test_round_trip_through_text():
     assert parse_config(text) == config
 
 
+# a valid value other than the default for every key; the thirds need all
+# 17 digits to come back
+NON_DEFAULT = {
+    "d_v": 2,
+    "half_width": 20.0 / 3.0,
+    "nodes_per_axis": 32,
+    "spatial_cells": 48,
+    "kernel": "gaussian_bump",
+    "sigma0": 0.1 + 0.2,
+    "kernel_file": "tables/sigma.txt",
+    "kappa_bar": 4.0 / 3.0,
+    "amplitude": 1.0 / 3.0,
+    "perturbation": 1e-4,
+    "seed": 3,
+    "dt": 0.001,
+    "cfl_safety": 2.0 / 3.0,
+    "transport": "muscl2",
+    "splitting": "lie",
+    "t_final": 2.5,
+    "record_every": 10,
+    "delta": None,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_every_key_round_trips(name):
+    config = ExperimentConfig(**{name: NON_DEFAULT[name]})
+    assert getattr(config, name) != getattr(ExperimentConfig(), name)
+    assert parse_config(format_config(config)) == config
+
+
 def test_auto_values_round_trip():
     config = ExperimentConfig(dt=None, delta=None)
     text = format_config(config)

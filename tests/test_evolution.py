@@ -67,8 +67,6 @@ def test_initial_state_profile(sgrid, vgrid):
     kappa_x = 1.0 * (1.0 + 0.5 * np.cos(2.0 * np.pi * sgrid.centers))
     assert np.array_equal(init.state.f, fermi_profile(kappa_x, vgrid))
     assert np.array_equal(init.state.kappa_cache, kappa_x)
-    assert init.kappa_minus == 0.5
-    assert init.kappa_plus == 1.5
     assert np.array_equal(init.f_lower, fermi_profile(0.5, vgrid))
     assert np.array_equal(init.f_upper, fermi_profile(1.5, vgrid))
     assert init.state.time == 0.0

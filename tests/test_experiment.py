@@ -20,10 +20,12 @@ from fermibolt.config import (
     load_config,
 )
 from fermibolt.experiment import (
+    AUDIT_START,
     DIST_EPS,
     SNAPSHOT_STRIDE,
     FitError,
     InvariantViolation,
+    RateReport,
     audit_snapshots,
     build_lattice,
     choose_delta,
@@ -552,16 +554,27 @@ def test_run_artifacts_complete(default_run):
     assert len(snaps) == len(range(0, len(default_run.records), SNAPSHOT_STRIDE))
 
     kv = {}
+    keys = []
     with open(os.path.join(out, "rate_report.kv"), encoding="utf-8") as fh:
         for line in fh:
             key, _, value = line.partition(" = ")
             kv[key.strip()] = value.strip()
+            keys.append(key.strip())
     assert float(kv["lambda_obs"]) == report.lambda_obs
     assert float(kv["r_squared"]) == report.r_squared
     assert int(kv["n_fit_records"]) == report.n_fit_records
     assert float(kv["delta"]) == report.delta
     assert float(kv["c1_min"]) == report.lemma_constants["c1_min"]
     assert os.path.exists(os.path.join(out, "rate_report.txt"))
+    # every key, in order: the report's fields, then the audit's constants
+    fields = [f.name for f in dataclasses.fields(RateReport) if f.name != "lemma_constants"]
+    assert keys == fields + list(AUDIT_START)
+    want = {**{name: getattr(report, name) for name in fields}, **report.lemma_constants}
+    for key in keys:
+        if isinstance(want[key], float):
+            assert float(kv[key]).hex() == float(want[key]).hex(), key
+        else:
+            assert type(want[key]) is int and int(kv[key]) == want[key], key
 
 
 # --------------------------------------------------------------------- CLI

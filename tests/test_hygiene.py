@@ -1,6 +1,6 @@
 """Source hygiene: no unused import, no unused function parameter and no
-export without a caller in src/, and every attribute the benchmark's
-tracer wraps still exists.
+export without a caller in src/, every attribute the benchmark's tracer
+wraps still exists, and every CLI subcommand names its handler.
 
 An AST scan of every module of the package. A name counts as used when
 it is loaded anywhere in its module (annotations included) or listed in
@@ -8,11 +8,13 @@ it is loaded anywhere in its module (annotations included) or listed in
 an exported name has a caller when some statement of src/ other than its
 own definition loads it, by name or as an attribute.
 """
+import argparse
 import ast
 import importlib
 import pathlib
 
 import fermibolt
+from fermibolt import cli
 
 PACKAGE = pathlib.Path(fermibolt.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -146,3 +148,15 @@ def test_traced_attributes_resolve():
         if not callable(owner):
             missing.append(f"{module}.{attribute}")
     assert missing == []
+
+
+def test_every_subcommand_has_a_handler():
+    # `main` calls the parsed handler, so a command added without one would
+    # fail only when run
+    parser = cli.build_parser()
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    handlers = {name: sub.get_default("handler") for name, sub in commands.items()}
+    assert all(callable(handler) for handler in handlers.values()), handlers
+    defined = {name for name in vars(cli) if name.startswith("_cmd_")}
+    assert {handler.__name__ for handler in handlers.values()} == defined

@@ -331,6 +331,26 @@ def test_cli_run_refuses_an_over_budget_lattice_from_the_config(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", sorted(OVER_BUDGET))
+def test_cli_audit_refuses_an_over_budget_lattice_from_the_manifest(tmp_path, capsys,
+                                                                    monkeypatch, case):
+    def allocated(*args):
+        raise AssertionError("the velocity lattice was built before the budget check")
+
+    monkeypatch.setattr(experiment, "build_velocity_grid", allocated)
+    text, message = OVER_BUDGET[case]
+    snapshots = tmp_path / "snapshots"
+    snapshots.mkdir()
+    manifest = snapshots / "manifest.cfg"
+    manifest.write_text(text, encoding="utf-8")
+    csv = tmp_path / "diagnostics.csv"
+    csv.write_text(",".join(RECORD_FIELDS) + "\n", encoding="utf-8")
+    assert cli.main(["audit", str(csv), str(snapshots)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"audit failed: {manifest}: {message}"]
+
+
 def test_resident_states_counts_the_plan_layout():
     # the plan's (cells, nodes) arrays plus the run's own six: the two
     # barrier tiles, the initial and current state, a step's two fresh results

@@ -10,8 +10,6 @@ import _bruteforce as bf
 # continuum moments of the Gaussian weight, for grid-accuracy checks
 MASS_CONTINUUM = 1.0
 SECOND_MOMENT_CONTINUUM = 1.0
-# 1 - erf(8 / sqrt 2), mass outside [-8, 8] in one dimension
-TAIL_MASS_L8 = 1.2212453270876722e-15
 # mirror-lattice quadrature of M and v^2 M at L = 8, N = 64
 GRID_MASS_64 = 0.9999999999999991
 GRID_SECOND_64 = 0.9999999999999297
@@ -117,14 +115,6 @@ def test_first_half_of_nodes_has_negative_first_component(dim):
     half = grid.n_nodes // 2
     assert np.all(grid.first_axis[:half] < 0.0)
     assert np.all(grid.first_axis[half:] > 0.0)
-
-
-def test_tail_mass_matches_erf():
-    grid = build_velocity_grid(1, 8.0, 64)
-    assert math.isclose(grid.tail_mass, TAIL_MASS_L8, rel_tol=1e-6)
-    grid2 = build_velocity_grid(2, 8.0, 16)
-    expected2 = 1.0 - math.erf(8.0 / math.sqrt(2.0)) ** 2
-    assert math.isclose(grid2.tail_mass, expected2, rel_tol=1e-6)
 
 
 def test_two_dimensional_mass():
