@@ -2,7 +2,7 @@
 
 Subcommands:
   run    evolve a configured system and write diagnostics artifacts
-  fit    re-fit the decay rate from an existing diagnostics CSV
+  fit    re-fit the decay rate from a finished run's diagnostics CSV
   audit  recompute the inequality constants from a finished run directory
   check  run two small built-in configurations and print PASS/FAIL lines
 
@@ -59,8 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(handler=_cmd_run)
 
-    p_fit = sub.add_parser("fit", help="fit a decay rate from a diagnostics CSV")
+    p_fit = sub.add_parser("fit", help="fit a decay rate from run artifacts")
     p_fit.add_argument("csv", help="path to diagnostics.csv")
+    p_fit.add_argument(
+        "snapshots", help="snapshot directory (holds manifest.cfg, which pins delta)"
+    )
     p_fit.set_defaults(handler=_cmd_fit)
 
     p_audit = sub.add_parser(
@@ -79,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     from .config import ConfigError, load_config
-    from .experiment import run_experiment
+    from .experiment import modified_entropy, run_experiment
 
     gc.freeze()  # the import-time objects live to exit; spare them every collection pass
     try:
@@ -93,9 +96,10 @@ def _cmd_run(args) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
     last = result.records[-1]
+    last_e = modified_entropy([last], result.config.delta)[0]
     print(f"steps completed: t = {last.t:.6g} with {len(result.records)} records")
     print(f"mass = {last.mass:.12g} (initial {result.records[0].mass:.12g})")
-    print(f"dist_total = {last.dist_total:.6g}, H = {last.H:.6g}, E = {last.E:.6g}")
+    print(f"dist_total = {last.dist_total:.6g}, H = {last.H:.6g}, E = {last_e:.6g}")
     print(f"delta = {result.config.delta:.6g}, dt = {result.config.dt:.6g}")
     if result.rate_report is not None:
         rep = result.rate_report
@@ -111,31 +115,53 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _read_records(path: str, command: str):
-    """The records of a diagnostics CSV, or None after one `<command> failed:` line."""
+def _load_run(csv_path: str, snap_dir: str, command: str):
+    """(config, lattice, records) of a finished run, or None after one `<command> failed:` line.
+
+    The config is the manifest in `snap_dir`, which must pin delta; its
+    lattice is built, under the memory budgets, before the CSV is read.
+    """
+    from .config import ConfigError, load_config
+    from .experiment import build_lattice
     from .storage import load_csv
 
+    manifest = os.path.join(snap_dir, "manifest.cfg")
+    for path in (csv_path, manifest):
+        if not os.path.exists(path):
+            print(f"{command} failed: missing {path}", file=sys.stderr)
+            return None
     try:
-        records, n_warnings = load_csv(path)
+        config = load_config(manifest)
+        lattice = build_lattice(config)
+    except ConfigError as exc:
+        print(f"{command} failed: {manifest}: {exc}", file=sys.stderr)
+        return None
+    if config.delta is None:
+        print(f"{command} failed: manifest does not pin delta", file=sys.stderr)
+        return None
+    try:
+        records, n_warnings = load_csv(csv_path)
     except (OSError, ValueError) as exc:
+        # an old CSV, with the E column, fails here on its header
         print(f"{command} failed: {exc}", file=sys.stderr)
         return None
     if n_warnings:
         print(f"warning: {n_warnings} truncated trailing line ignored", file=sys.stderr)
     if not records:
-        print(f"{command} failed: {path} holds no records", file=sys.stderr)
+        print(f"{command} failed: {csv_path} holds no records", file=sys.stderr)
         return None
-    return records
+    return config, lattice, records
 
 
 def _cmd_fit(args) -> int:
     from .experiment import FitError, estimate_decay_rate
 
-    records = _read_records(args.csv, "fit")
-    if records is None:
+    run = _load_run(args.csv, args.snapshots, "fit")
+    if run is None:
         return 1
+    config, _, records = run
     try:
-        report = estimate_decay_rate(records)
+        report = estimate_decay_rate(records, config.delta)
     except FitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 1
@@ -148,30 +174,15 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    from .config import ConfigError, load_config
     from .equilibrium import global_equilibrium
-    from .experiment import audit_snapshots, build_lattice, kv_lines
+    from .experiment import audit_snapshots, kv_lines
     from .storage import SnapshotError, snapshot_load
 
-    csv_path = args.csv
     snap_dir = args.snapshots
-    manifest = os.path.join(snap_dir, "manifest.cfg")
-    for path in (csv_path, manifest):
-        if not os.path.exists(path):
-            print(f"audit failed: missing {path}", file=sys.stderr)
-            return 1
-    try:
-        config = load_config(manifest)
-        vgrid, sgrid, kernel = build_lattice(config)
-    except ConfigError as exc:
-        print(f"audit failed: {manifest}: {exc}", file=sys.stderr)
+    run = _load_run(args.csv, snap_dir, "audit")
+    if run is None:
         return 1
-    if config.delta is None:
-        print("audit failed: manifest does not pin delta", file=sys.stderr)
-        return 1
-    records = _read_records(csv_path, "audit")
-    if records is None:
-        return 1
+    config, (vgrid, sgrid, kernel), records = run
     names = sorted(n for n in os.listdir(snap_dir) if n.endswith(".snap"))
     if not names:
         print("audit failed: no snapshots found", file=sys.stderr)
@@ -180,7 +191,8 @@ def _cmd_audit(args) -> int:
               for name in names)
     eq = global_equilibrium(records[0].mass, vgrid)
     try:
-        constants = audit_snapshots(records, states, kernel=kernel, eq=eq)
+        constants = audit_snapshots(records, states, kernel=kernel, eq=eq,
+                                    delta=config.delta)
     except (ValueError, SnapshotError) as exc:
         # every snapshot on a trajectory end, or one unreadable or off-lattice
         print(f"audit failed: {exc}", file=sys.stderr)
@@ -193,7 +205,7 @@ def _cmd_audit(args) -> int:
 def _check_case(name: str, config) -> list[tuple[str, bool, str]]:
     import numpy as np
 
-    from .experiment import InvariantViolation, run_experiment
+    from .experiment import InvariantViolation, modified_entropy, run_experiment
 
     results: list[tuple[str, bool, str]] = []
     try:
@@ -216,8 +228,9 @@ def _check_case(name: str, config) -> list[tuple[str, bool, str]]:
     results.append(
         (f"{name}: entropy monotone", rise <= tol, f"max rise {rise:.3e}")
     )
-    ratios = np.array([r.ratio_c6 for r in records])
-    ok = bool(np.all(ratios[np.isfinite(ratios)] > 0.0))
+    dist = np.array([r.dist_total for r in records])
+    # E / dist_total^2 > 0 wherever the distance is positive
+    ok = bool(np.all(modified_entropy(records, outcome.config.delta)[dist > 0.0] > 0.0))
     results.append((f"{name}: functional equivalent to distance", ok, ""))
     decayed = records[-1].dist_total < records[0].dist_total
     results.append(

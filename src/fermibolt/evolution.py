@@ -1,13 +1,13 @@
 """Time integration: split transport / collision steps on the torus.
 
 Transport is a monotone finite-volume update per velocity node (donor
-cell by default, minmod-limited second order behind a flag) written in
-increment form, so spatially uniform states are bitwise invariant and
-the maximum principle survives rounding. The collision substep is
-explicit with a step-size ceiling that makes the update a convex
-combination; under that ceiling occupations stay in [0, 1] and any
-pair of lattice Fermi-Dirac barriers ordered around the state remains
-ordered, which is what preserves the kappa sandwich in time.
+cell by default, minmod-limited second order with `transport = muscl2`)
+written in increment form, so spatially uniform states are bitwise
+invariant and the maximum principle survives rounding. The collision
+substep is explicit with a step-size ceiling that makes the update a
+convex combination; under that ceiling occupations stay in [0, 1] and
+any pair of lattice Fermi-Dirac barriers ordered around the state
+remains ordered, which is what preserves the kappa sandwich in time.
 
 A run builds one `StepPlan` with `plan_step` before it steps (and
 before it writes anything). `plan_step` is where `dt = auto` is

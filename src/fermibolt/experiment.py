@@ -1,15 +1,18 @@
 """Experiment driver: trajectories, decay-rate fits, inequality audits.
 
 A run evolves the split scheme from the cosine-profile initial data,
-streams one diagnostics record every few steps, writes sparse full
-snapshots, and aborts loudly if conservation, admissibility, or the
-sign of the entropy production ever fails. Each record sees its
-moments, field and local projection through one `observe`, warm-started
-from the previous record's kappa; each snapshot record is folded into
-the audit of the decay chain from that same observation, so no state
-is held for it. Post-processing fits the exponential decay rate of the
-equilibrium distance on the late-time window and finishes the audit's
-record-only terms, reporting the empirical extremal constants.
+writes a diagnostics record every few steps as soon as it is made,
+writes sparse full snapshots, and aborts loudly if conservation,
+admissibility, or the sign of the entropy production ever fails. Each
+record sees its moments, field and local projection through one
+`observe`, warm-started from the previous record's kappa; each snapshot
+record is folded into the audit of the decay chain from that same
+observation, so no state is held for it. Post-processing fits the
+exponential decay rate of the equilibrium distance on the late-time
+window and finishes the audit's record-only terms, reporting the
+empirical extremal constants. Both form the modified entropy
+E = H + delta * pairing from the records (`modified_entropy`), which
+do not store it.
 """
 from __future__ import annotations
 
@@ -60,6 +63,7 @@ __all__ = [
     "audit_snapshots",
     "choose_delta",
     "kv_lines",
+    "modified_entropy",
     "observe",
     "write_rate_report",
     "SNAPSHOT_STRIDE",
@@ -143,52 +147,32 @@ def _diagnose(
     state: PhaseState,
     kernel: CollisionKernel,
     eq: EquilibriumProfile,
-    prev: DiagnosticsRecord | None,
 ) -> tuple[DiagnosticsRecord, tuple]:
-    """The record of a state (E and ratio_c6 nan until `_couple`) and its `observe`.
+    """The record of a state and its `observe`.
 
     The projection starts from `state.kappa_cache`, which is left as it is.
     """
     vg, sg = state.vgrid, state.sgrid
     f = state.f
     fields, proj, kappa = observe(f, eq, state.kappa_cache, vg, sg)
-    mass = float(np.add.reduce(fields.rho)) * sg.spacing
-    dist_total = weighted_norm(f, vg, sg, eq.profile)
-    dist_local = weighted_norm(f, vg, sg, proj)
-    dist_hydro = weighted_norm(proj, vg, sg, eq.profile)
-    entropy = relative_entropy(f, eq.profile, vg, sg)
-    production = dissipation(f, kernel, vg, sg)
-    pairing = field_current_pairing(fields, sg)
-    if prev is not None and dist_local > 0.0 and state.time > prev.t:
-        ratio_c1 = (prev.H - entropy) / (state.time - prev.t) / dist_local**2
-    else:
-        ratio_c1 = math.nan
     record = DiagnosticsRecord(
         t=state.time,
-        mass=mass,
-        H=entropy,
-        E=math.nan,
-        D=production,
-        dist_total=dist_total,
-        dist_local=dist_local,
-        dist_hydro=dist_hydro,
-        pairing=pairing,
-        ratio_c1=ratio_c1,
-        ratio_c6=math.nan,
+        mass=float(np.add.reduce(fields.rho)) * sg.spacing,
+        H=relative_entropy(f, eq.profile, vg, sg),
+        D=dissipation(f, kernel, vg, sg),
+        dist_total=weighted_norm(f, vg, sg, eq.profile),
+        dist_local=weighted_norm(f, vg, sg, proj),
+        dist_hydro=weighted_norm(proj, vg, sg, eq.profile),
+        pairing=field_current_pairing(fields, sg),
         kappa_min=float(np.minimum.reduce(kappa)),
         kappa_max=float(np.maximum.reduce(kappa)),
     )
     return record, (fields, proj, kappa)
 
 
-def _couple(record: DiagnosticsRecord, delta: float) -> DiagnosticsRecord:
-    """Fill in the augmented functional E = H + delta * pairing and E / dist^2."""
-    lyapunov = record.H + delta * record.pairing
-    dist_total = record.dist_total
-    ratio_c6 = lyapunov / dist_total**2 if dist_total > 0.0 else math.nan
-    # every held record of a `delta = auto` run passes here; this is a
-    # third quicker than `dataclasses.replace`
-    return DiagnosticsRecord(**{**vars(record), "E": lyapunov, "ratio_c6": ratio_c6})
+def modified_entropy(records, delta: float) -> np.ndarray:
+    """E = H + delta * pairing of each record, the functional whose decay is fitted."""
+    return np.array([r.H for r in records]) + delta * np.array([r.pairing for r in records])
 
 
 def _check_mass(step_index: int, mass: float, mass0: float) -> None:
@@ -260,9 +244,10 @@ def choose_delta(
     return best
 
 
-def _resolve_delta(samples: list[tuple]) -> float:
-    """Pick delta from the (t, H, pairing, dist_total) samples of the window."""
-    t, entropy, pairing, dist_total = (np.array(column) for column in zip(*samples))
+def _resolve_delta(window: list[DiagnosticsRecord]) -> float:
+    """Pick delta from the records of the delta window."""
+    t, entropy, pairing, dist_total = (np.array([getattr(r, name) for r in window])
+                                       for name in ("t", "H", "pairing", "dist_total"))
     return choose_delta(t, entropy, pairing, dist_total)
 
 
@@ -317,16 +302,15 @@ def build_lattice(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> RunResult:
     """Evolve the configured system and collect diagnostics.
 
-    When `output_dir` is given the diagnostics stream to
-    diagnostics.csv, sparse snapshots and a manifest go to snapshots/,
+    When `output_dir` is given each record goes to diagnostics.csv as
+    soon as it is made, sparse snapshots and a manifest go to snapshots/,
     and the rate report is written in both text and key = value form.
 
-    With `delta = auto` the first min(t_final, DELTA_WINDOW) of the run
-    itself chooses delta, and until the step that closes the window the
-    records wait without E and ratio_c6. Once delta is known the loop
-    couples and writes every record not yet written, the one place a row
-    is written; a run stopped before that writes the waiting records in
-    `finally`, with E and ratio_c6 nan. Each interior snapshot record is
+    With `delta = auto` the records of the first min(t_final, DELTA_WINDOW)
+    of the run itself choose delta at the step that closes the window,
+    with one more sample there when that step is off the record grid; the
+    manifest, written with `delta = auto` before the first step, is then
+    rewritten with the chosen value. Each interior snapshot record is
     folded into the audit as it is made, and its index is kept for
     `_close_audit`.
     """
@@ -372,7 +356,6 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
 
     state = init.state.copy()
     records: list[DiagnosticsRecord] = []
-    written = 0  # records[:written] are coupled, and in the CSV if there is one
     audit = dict(AUDIT_START)
     audited: list[int] = []  # indices of the records folded into `audit`
     try:
@@ -382,7 +365,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
             # the last step always records, so an end state is known here
             recorded = k % config.record_every == 0 or k == n_steps
             if recorded:
-                record, seen = _diagnose(state, kernel, eq, records[-1] if records else None)
+                record, seen = _diagnose(state, kernel, eq)
                 # the run keeps each record's kappa as the next record's warm start
                 state.kappa_cache = seen[2]
                 _check_record(k, record, mass0)
@@ -390,6 +373,8 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
                     # every later state has passed `check_step` inside `step`
                     _check_sandwich(k, state.f, lower, upper)
                 records.append(record)
+                if writer is not None:
+                    writer.write(record)
                 if (len(records) - 1) % SNAPSHOT_STRIDE == 0:
                     if k in (0, n_steps):
                         audit["samples_skipped"] += 1
@@ -400,25 +385,12 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
                         snapshot_dump(state, os.path.join(snap_dir, f"state_{k:08d}.snap"))
                 del seen  # its projection is state-sized: not resident during the steps
             if delta is None and k == n_window:
-                samples = [(r.t, r.H, r.pairing, r.dist_total) for r in records]
-                if not recorded:
-                    extra = _diagnose(state, kernel, eq, None)[0]
-                    samples.append((extra.t, extra.H, extra.pairing, extra.dist_total))
-                delta = _resolve_delta(samples)
+                window = records if recorded else records + [_diagnose(state, kernel, eq)[0]]
+                delta = _resolve_delta(window)
                 if snap_dir is not None:
                     _write_manifest(snap_dir, replace(config, dt=dt, delta=delta))
-            if delta is not None:
-                for i in range(written, len(records)):
-                    records[i] = _couple(records[i], delta)
-                    if writer is not None:
-                        writer.write(records[i])
-                written = len(records)
     finally:
         if writer is not None:
-            # the rows the loop left, as a run stopped inside the delta window
-            # leaves: kept, with E and ratio_c6 nan
-            for record in records[written:]:
-                writer.write(record)
             writer.close()
     resolved = replace(config, dt=dt, delta=delta)
 
@@ -429,7 +401,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
         report = None
     if report is not None:
         # a fit has FIT_MIN_RECORDS records, so snapshot 10 is interior and audited
-        report.lemma_constants = _close_audit(audit, audited, records)
+        report.lemma_constants = _close_audit(audit, audited, records, delta)
         if output_dir is not None:
             write_rate_report(
                 report,
@@ -448,16 +420,16 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     )
 
 
-def estimate_decay_rate(records, delta: float = math.nan) -> RateReport:
+def estimate_decay_rate(records, delta: float) -> RateReport:
     """Least-squares exponential rate of dist_total on the decay window.
 
-    The window opens once the augmented functional has lost half its
-    initial value (the early transient carries the wrong slope) and
-    keeps every later record whose distance is numerically meaningful.
+    The window opens once the modified entropy, at this delta, has lost
+    half its initial value (the early transient carries the wrong slope)
+    and keeps every later record whose distance is numerically meaningful.
     """
     t = np.array([r.t for r in records])
     dist = np.array([r.dist_total for r in records])
-    lyap = np.array([r.E for r in records])
+    lyap = modified_entropy(records, delta)
     if len(records) < 2:
         raise FitError("need at least two records to fit a rate")
     half = np.nonzero(lyap <= 0.5 * lyap[0])[0]
@@ -572,16 +544,17 @@ def audit_proof_chain(out: dict, state: PhaseState, seen: tuple, record: Diagnos
     out["samples_used"] += 1
 
 
-def _close_audit(out: dict, audited, records) -> dict:
+def _close_audit(out: dict, audited, records, delta: float) -> dict:
     """Add the terms that need only records to `out`, which folded records `audited`.
 
-    Entropy-based ratios need the entropy above its round-off noise floor.
+    Entropy-based ratios need the entropy above its round-off noise floor;
+    the modified entropy takes the run's delta.
     """
     if not audited:
         raise ValueError("every audit sample fell on the trajectory ends")
     t = np.array([r.t for r in records])
     entropy = np.array([r.H for r in records])
-    lyap = np.array([r.E for r in records])
+    lyap = modified_entropy(records, delta)
     dist_total = np.array([r.dist_total for r in records])
     pairing = np.array([r.pairing for r in records])
 
@@ -612,7 +585,7 @@ def _close_audit(out: dict, audited, records) -> dict:
 
 
 def audit_snapshots(records, states, *, kernel: CollisionKernel,
-                    eq: EquilibriumProfile) -> dict:
+                    eq: EquilibriumProfile, delta: float) -> dict:
     """A finished run's audit constants: each snapshot observed, then folded as in the run."""
     t = np.array([r.t for r in records])
     out = dict(AUDIT_START)
@@ -630,7 +603,7 @@ def audit_snapshots(records, states, *, kernel: CollisionKernel,
         audited.append(k)
         seen = observe(state.f, eq, state.kappa_cache, state.vgrid, state.sgrid)
         audit_proof_chain(out, state, seen, records[k], kernel=kernel, eq=eq)
-    return _close_audit(out, audited, records)
+    return _close_audit(out, audited, records, delta)
 
 
 def kv_lines(items, float_format: str) -> list[str]:

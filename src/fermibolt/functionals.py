@@ -18,6 +18,8 @@ D >= 0 holds up to rounding only; a run enforces it with its dissipation
 floor. The modified entropy E = H + delta * sum grad_phi . j dx adds the
 macroscopic corrector of Dolbeault, Mouhot and Schmeiser (Trans. AMS
 2015): phi is a diagnostic built from the density, not a force on f.
+A record stores H and the pairing, not E: E depends on delta, and is
+formed where it is read (`experiment.modified_entropy`).
 """
 from __future__ import annotations
 
@@ -119,19 +121,20 @@ def field_current_pairing(fields: FieldSet, sgrid: SpatialGrid) -> float:
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """One diagnostics row; its field order is the CSV schema, RECORD_FIELDS."""
+    """One diagnostics row; its field order is the CSV schema, RECORD_FIELDS.
+
+    Only what the record's state measures: nothing that depends on delta
+    or on another record.
+    """
 
     t: float
     mass: float
     H: float
-    E: float
     D: float
     dist_total: float
     dist_local: float
     dist_hydro: float
     pairing: float
-    ratio_c1: float
-    ratio_c6: float
     kappa_min: float
     kappa_max: float
 

@@ -5,7 +5,6 @@ formulas, with none of the vectorization, folding, or chunking tricks of
 the package proper, so agreement between the two is meaningful. Only
 usable at tiny lattice sizes.
 """
-import dataclasses
 import math
 
 import numpy as np
@@ -516,8 +515,8 @@ def seed_dissipation(f, kernel, vgrid, sgrid):
     return float(np.sum(np.sum(per_node * vgrid.weights, axis=-1))) * sgrid.spacing
 
 
-def seed_diagnose(state, kernel, eq, prev):
-    """One record, E and ratio_c6 nan; sets state.kappa_cache as it did."""
+def seed_diagnose(state, kernel, eq):
+    """One record; sets state.kappa_cache as it did."""
     from fermibolt.functionals import DiagnosticsRecord
 
     vg, sg, f = state.vgrid, state.sgrid, state.f
@@ -525,42 +524,25 @@ def seed_diagnose(state, kernel, eq, prev):
     _, grad_phi = seed_solve_poisson(rho, eq.density, sg)
     proj, kappa = seed_project(f, vg, kappa_cache=state.kappa_cache)
     state.kappa_cache = kappa
-    dist_local = seed_weighted_norm(f - proj, vg, sg)
-    entropy = seed_entropy(f, eq.profile, vg, sg)
-    if prev is not None and dist_local > 0.0 and state.time > prev.t:
-        ratio_c1 = (prev.H - entropy) / (state.time - prev.t) / dist_local**2
-    else:
-        ratio_c1 = math.nan
     return DiagnosticsRecord(
         t=state.time,
         mass=float(np.sum(rho)) * sg.spacing,
-        H=entropy,
-        E=math.nan,
+        H=seed_entropy(f, eq.profile, vg, sg),
         D=seed_dissipation(f, kernel, vg, sg),
         dist_total=seed_weighted_norm(f - eq.profile[None, :], vg, sg),
-        dist_local=dist_local,
+        dist_local=seed_weighted_norm(f - proj, vg, sg),
         dist_hydro=seed_weighted_norm(proj - eq.profile[None, :], vg, sg),
         pairing=float(np.sum(grad_phi * j[:, 0]) * sg.spacing),
-        ratio_c1=ratio_c1,
-        ratio_c6=math.nan,
         kappa_min=float(kappa.min()),
         kappa_max=float(kappa.max()),
     )
 
 
-def seed_couple(record, delta):
-    """E = H + delta * pairing and ratio_c6 = E / dist_total^2."""
-    lyapunov = record.H + delta * record.pairing
-    dist_total = record.dist_total
-    ratio_c6 = lyapunov / dist_total**2 if dist_total > 0.0 else math.nan
-    return dataclasses.replace(record, E=lyapunov, ratio_c6=ratio_c6)
-
-
 def seed_records(result):
     """A run's records and record-step kappa fields, re-derived with `seed_diagnose`.
 
-    Re-steps the trajectory from the run's initial state, diagnoses on the
-    record grid and couples every record with the run's resolved delta.
+    Re-steps the trajectory from the run's initial state and diagnoses on
+    the record grid.
     """
     from fermibolt.evolution import plan_step, step
 
@@ -570,8 +552,7 @@ def seed_records(result):
     records, kappas = [], []
 
     def record():
-        prev = records[-1] if records else None
-        records.append(seed_diagnose(state, result.kernel, result.equilibrium, prev))
+        records.append(seed_diagnose(state, result.kernel, result.equilibrium))
         kappas.append(state.kappa_cache)
 
     n_steps = max(1, math.ceil(config.t_final / dt - 1e-12))
@@ -580,4 +561,4 @@ def seed_records(result):
         state = step(state, plan)
         if k % config.record_every == 0 or k == n_steps:
             record()
-    return [seed_couple(r, config.delta) for r in records], kappas
+    return records, kappas

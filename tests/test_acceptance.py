@@ -19,7 +19,8 @@ from fermibolt.evolution import (
     plan_step,
     step,
 )
-from fermibolt.fields import build_spatial_grid, solve_poisson
+from fermibolt.experiment import modified_entropy
+from fermibolt.fields import FieldSet, build_spatial_grid, solve_poisson
 from fermibolt.functionals import dissipation, relative_entropy
 from fermibolt.velocity import build_velocity_grid, integrate
 
@@ -230,10 +231,12 @@ def test_criterion_08_bruteforce_equivalence(tiny_run):
         dh_bf = bf.bf_weighted_norm(proj_bf - eq.profile[None, :], vg, sg)
         worst = max(worst, rel(rec.dist_hydro, dh_bf))
 
+        # E is derived from the record's H and pairing wherever it is read
         rho_bf, j_bf = bf.bf_moments(f, vg)
-        _, grad_bf = bf.bf_poisson(rho_bf - eq.density, sg)
-        e_bf = h_bf + delta * bf.bf_pairing(grad_bf, j_bf[:, 0], sg)
-        worst = max(worst, rel(rec.E, e_bf))
+        phi_bf, grad_bf = bf.bf_poisson(rho_bf - eq.density, sg)
+        fields_bf = FieldSet(rho=rho_bf, j=j_bf, phi=phi_bf, grad_phi=grad_bf)
+        e_bf = bf.lyapunov_functional(f, eq.profile, fields_bf, delta, vg, sg)
+        worst = max(worst, rel(modified_entropy([rec], delta)[0], e_bf))
 
         q_pkg = apply_collision(f, tiny_run.kernel, vg)
         for cell in range(sg.cells):

@@ -35,7 +35,7 @@ from fermibolt.experiment import (
 from fermibolt.equilibrium import global_equilibrium
 from fermibolt.evolution import PhaseState
 from fermibolt.fields import build_spatial_grid
-from fermibolt.functionals import DiagnosticsRecord
+from fermibolt.functionals import RECORD_FIELDS, DiagnosticsRecord
 from fermibolt.storage import CsvWriter, load_csv, snapshot_dump
 from fermibolt.velocity import build_velocity_grid
 
@@ -44,13 +44,14 @@ from _artifacts import snapshot_states
 
 
 def _fake_records(t, dist, lyap):
+    """Records whose H is `lyap` and pairing zero: E = lyap at every delta."""
     out = []
     for ti, di, ei in zip(t, dist, lyap):
         out.append(
             DiagnosticsRecord(
-                float(ti), 1.0, float(ei), float(ei), 0.0,
+                float(ti), 1.0, float(ei), 0.0,
                 float(di), float(di) / 2.0, float(di) / 2.0, 0.0,
-                1.0, 1.0, 1.0, 1.0,
+                1.0, 1.0,
             )
         )
     return out
@@ -75,7 +76,7 @@ def test_fit_recovers_synthetic_exponential():
 def test_fit_needs_two_records():
     t = np.array([0.0])
     with pytest.raises(FitError, match="two records"):
-        estimate_decay_rate(_fake_records(t, [1.0], [1.0]))
+        estimate_decay_rate(_fake_records(t, [1.0], [1.0]), 0.01)
 
 
 def test_fit_requires_functional_to_halve():
@@ -83,7 +84,7 @@ def test_fit_requires_functional_to_halve():
     dist = np.exp(-t)
     lyap = np.ones_like(t)
     with pytest.raises(FitError, match="half"):
-        estimate_decay_rate(_fake_records(t, dist, lyap))
+        estimate_decay_rate(_fake_records(t, dist, lyap), 0.01)
 
 
 def test_fit_window_minimum_count():
@@ -91,7 +92,7 @@ def test_fit_window_minimum_count():
     lyap = np.concatenate([[1.0], np.full(11, 0.3)])
     dist = np.exp(-t)
     with pytest.raises(FitError, match="too short"):
-        estimate_decay_rate(_fake_records(t, dist, lyap))
+        estimate_decay_rate(_fake_records(t, dist, lyap), 0.01)
 
 
 def test_fit_rejects_zero_time_extent():
@@ -99,7 +100,7 @@ def test_fit_rejects_zero_time_extent():
     lyap = np.array([1.0] + [0.4] * 30)
     dist = np.full(31, 0.1)
     with pytest.raises(FitError, match="time extent"):
-        estimate_decay_rate(_fake_records(t, dist, lyap))
+        estimate_decay_rate(_fake_records(t, dist, lyap), 0.01)
 
 
 def test_default_fit_matches_independent_regression(default_run):
@@ -107,7 +108,8 @@ def test_default_fit_matches_independent_regression(default_run):
     rep = default_run.rate_report
     t = np.array([r.t for r in records])
     dist = np.array([r.dist_total for r in records])
-    lyap = np.array([r.E for r in records])
+    delta = default_run.config.delta
+    lyap = np.array([r.H + delta * r.pairing for r in records])
     start = int(np.nonzero(lyap <= 0.5 * lyap[0])[0][0])
     mask = (np.arange(len(t)) >= start) & (dist > DIST_EPS)
     slope, intercept = np.polyfit(t[mask], np.log(dist[mask]), 1)
@@ -227,8 +229,9 @@ def auto_run(request, tmp_path_factory):
         delta=None,
     )
     out_dir = tmp_path_factory.mktemp(f"auto_{request.param}")
-    seen = {"steps": 0, "scanned": None}
+    seen = {"steps": 0, "scanned": None, "rows_at_resolve": None}
     real_step, real_choose = experiment.step, experiment.choose_delta
+    real_resolve = experiment._resolve_delta
 
     def counted_step(*args, **kwargs):
         seen["steps"] += 1
@@ -238,9 +241,14 @@ def auto_run(request, tmp_path_factory):
         seen["scanned"] = arrays
         return real_choose(*arrays, **kwargs)
 
+    def read_rows_then_resolve(*args, **kwargs):
+        seen["rows_at_resolve"] = load_csv(str(out_dir / "diagnostics.csv"))
+        return real_resolve(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiment, "step", counted_step)
         mp.setattr(experiment, "choose_delta", recorded_choose)
+        mp.setattr(experiment, "_resolve_delta", read_rows_then_resolve)
         result = run_experiment(config, output_dir=str(out_dir))
     return config, result, seen
 
@@ -261,6 +269,17 @@ def test_auto_delta_scans_the_two_pass_pilot_samples(auto_run):
     assert len(seen["scanned"]) == len(pilot)
     for got, want in zip(seen["scanned"], pilot):
         assert np.array_equal(got, want)
+
+
+def test_auto_delta_streams_its_rows(auto_run):
+    # when delta is chosen, the CSV already holds every record made so far
+    config, result, seen = auto_run
+    n_steps = math.ceil(config.t_final / result.config.dt - 1e-12)
+    n_window = math.ceil(min(config.t_final, 5.0) / result.config.dt - 1e-12)
+    made = sum(1 for k in range(n_window + 1) if k % config.record_every == 0 or k == n_steps)
+    rows, warnings = seen["rows_at_resolve"]
+    assert warnings == 0 and made >= 3
+    assert rows == result.records[:made]
 
 
 def test_auto_delta_artifacts_match_two_pass_run(auto_run, tmp_path):
@@ -305,12 +324,11 @@ def test_violation_between_records_aborts_at_its_step(quantity, monkeypatch, tmp
     assert err.value.step_index == 3
     assert err.value.quantity == quantity
     # aborted inside the delta window: the snapshot, an unresolved manifest,
-    # and the record rows without the delta-dependent columns stay on disk
+    # and every row made before the step that failed stay on disk
     assert load_config(str(tmp_path / "snapshots" / "manifest.cfg")).delta is None
     assert (tmp_path / "snapshots" / "state_00000000.snap").exists()
     records, warnings = load_csv(str(tmp_path / "diagnostics.csv"))
-    assert warnings == 0 and len(records) == 1
-    assert math.isnan(records[0].E) and math.isnan(records[0].ratio_c6)
+    assert warnings == 0 and [r.t for r in records] == [0.0]
 
 
 def test_nan_fails_the_run_checks():
@@ -325,7 +343,7 @@ def test_nan_fails_the_run_checks():
     with pytest.raises(InvariantViolation, match="sandwich invariant failed"):
         experiment._check_sandwich(4, f, *(np.tile(row, (8, 1))
                                             for row in (init.f_lower, init.f_upper)))
-    record = DiagnosticsRecord(*[1.0] * 13)
+    record = DiagnosticsRecord(*[1.0] * len(RECORD_FIELDS))
     with pytest.raises(InvariantViolation, match="dissipation invariant failed"):
         experiment._check_record(4, dataclasses.replace(record, D=math.nan), 1.0)
 
@@ -440,6 +458,7 @@ def test_audit_requires_states(tiny_run):
             [],
             kernel=tiny_run.kernel,
             eq=tiny_run.equilibrium,
+            delta=tiny_run.config.delta,
         )
 
 
@@ -452,6 +471,7 @@ def test_audit_rejects_unmatched_snapshot(tiny_run):
             [bad],
             kernel=tiny_run.kernel,
             eq=tiny_run.equilibrium,
+            delta=tiny_run.config.delta,
         )
 
 
@@ -463,7 +483,8 @@ def _audit_from_artifacts(out_dir):
     records, warnings = load_csv(os.path.join(out_dir, "diagnostics.csv"))
     assert warnings == 0
     eq = global_equilibrium(records[0].mass, vgrid)
-    return audit_snapshots(records, snapshot_states(out_dir), kernel=kernel, eq=eq)
+    return audit_snapshots(records, snapshot_states(out_dir), kernel=kernel, eq=eq,
+                           delta=config.delta)
 
 
 @pytest.fixture(scope="module")
@@ -536,11 +557,7 @@ def test_run_artifacts_complete(default_run):
 
     records, warnings = load_csv(os.path.join(out, "diagnostics.csv"))
     assert warnings == 0
-    assert len(records) == len(default_run.records)
-    for got, want in zip(records, default_run.records):
-        for a, b in zip(got.as_row(), want.as_row()):
-            # the first record carries nan ratios, and nan != nan
-            assert a == b or (math.isnan(a) and math.isnan(b))
+    assert records == default_run.records
 
     snap_dir = os.path.join(out, "snapshots")
     manifest = load_config(os.path.join(snap_dir, "manifest.cfg"))
@@ -600,36 +617,58 @@ def test_cli_run_writes_artifacts(cli_run_dir):
 
 
 def test_cli_fit(cli_run_dir, capsys):
-    assert cli.main(["fit", str(cli_run_dir / "diagnostics.csv")]) == 0
+    assert cli.main(["fit", str(cli_run_dir / "diagnostics.csv"),
+                     str(cli_run_dir / "snapshots")]) == 0
     out = capsys.readouterr().out
     assert "lambda_obs = " in out
     assert "r_squared = " in out
 
 
-def test_cli_fit_reports_failure(tmp_path, capsys):
+def test_cli_fit_reports_failure(cli_run_dir, tmp_path, capsys):
     path = tmp_path / "short.csv"
     t = np.array([0.0, 0.1, 0.2])
     with closing(CsvWriter(str(path))) as writer:
         for rec in _fake_records(t, np.exp(-t), np.exp(-2.0 * t)):
             writer.write(rec)
-    assert cli.main(["fit", str(path)]) == 1
+    assert cli.main(["fit", str(path), str(cli_run_dir / "snapshots")]) == 1
     assert "fit failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["fit", "audit"])
-@pytest.mark.parametrize("content", ["empty", "header-only", "malformed"])
+def test_cli_refuses_a_manifest_without_delta(cli_run_dir, tmp_path, capsys, command):
+    # E needs delta, so a run stopped before `delta = auto` was chosen has no E
+    manifest = (cli_run_dir / "snapshots" / "manifest.cfg").read_text(encoding="utf-8")
+    kept = [ln for ln in manifest.splitlines() if not ln.startswith("delta ")]
+    (tmp_path / "manifest.cfg").write_text("\n".join(kept + ["delta = auto"]) + "\n",
+                                           encoding="utf-8")
+    assert cli.main([command, str(cli_run_dir / "diagnostics.csv"), str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{command} failed: manifest does not pin delta"]
+
+
+# the 13-column header of a CSV written while rows still stored E, ratio_c1
+# and ratio_c6
+OLD_HEADER = ("t,mass,H,E,D,dist_total,dist_local,dist_hydro,pairing,ratio_c1,ratio_c6,"
+              "kappa_min,kappa_max")
+
+
+@pytest.mark.parametrize("command", ["fit", "audit"])
+@pytest.mark.parametrize("content", ["empty", "header-only", "malformed", "old-schema"])
 def test_cli_reports_a_bad_csv(cli_run_dir, tmp_path, capsys, command, content):
     csv = tmp_path / "diagnostics.csv"
     lines = (cli_run_dir / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
     text = {"empty": "", "header-only": lines[0] + "\n",
-            "malformed": "\n".join([lines[0], "1,2", lines[1]]) + "\n"}[content]
+            "malformed": "\n".join([lines[0], "1,2", lines[1]]) + "\n",
+            "old-schema": OLD_HEADER + "\n" + ",".join(["0"] * 13) + "\n"}[content]
     csv.write_text(text, encoding="utf-8")
-    snapshots = [str(cli_run_dir / "snapshots")] if command == "audit" else []
-    assert cli.main([command, str(csv)] + snapshots) == 1
+    assert cli.main([command, str(csv), str(cli_run_dir / "snapshots")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"{command} failed: {csv}")
+    if content == "old-schema":
+        assert err[0].startswith(f"{command} failed: {csv} has wrong columns ")
 
 
 def test_cli_audit(cli_run_dir, capsys):
@@ -718,7 +757,8 @@ def test_cli_threads_pins_environment(cli_run_dir, monkeypatch):
     )
     for name in names:
         monkeypatch.setenv(name, "sentinel")
-    assert cli.main(["--threads", "3", "fit", str(cli_run_dir / "diagnostics.csv")]) == 0
+    assert cli.main(["--threads", "3", "fit", str(cli_run_dir / "diagnostics.csv"),
+                     str(cli_run_dir / "snapshots")]) == 0
     for name in names:
         assert os.environ[name] == "3"
 

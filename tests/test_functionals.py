@@ -16,7 +16,7 @@ from fermibolt.functionals import (
     weighted_norm,
 )
 from fermibolt.evolution import PhaseState
-from fermibolt.experiment import _couple, _diagnose
+from fermibolt.experiment import _diagnose, modified_entropy
 
 import _bruteforce as bf
 
@@ -219,14 +219,14 @@ def test_lyapunov_reduces_to_entropy(vgrid, sgrid):
     assert math.isclose(
         e, h + 0.01 * field_current_pairing(fields, sgrid), rel_tol=1e-12
     )
-    # the run forms E in `_couple`, from the record's own H and pairing
+    # E is formed where it is read, from the record's own H and pairing
     state = PhaseState(f=f, time=0.0, vgrid=vgrid, sgrid=sgrid)
-    record, (seen, _, _) = _diagnose(state, build_kernel("constant", vgrid), eq, None)
+    record, (seen, _, _) = _diagnose(state, build_kernel("constant", vgrid), eq)
     # the observation `_diagnose` hands on is the one the record was made from
     assert np.array_equal(seen.grad_phi, grad) and np.array_equal(seen.j, j)
     for delta in (0.0, 0.01):
         lyap = bf.lyapunov_functional(f, eq.profile, fields, delta, vgrid, sgrid)
-        assert _couple(record, delta).E == lyap
+        assert modified_entropy([record], delta)[0] == lyap
 
 
 def test_record_schema():
@@ -234,21 +234,18 @@ def test_record_schema():
         "t",
         "mass",
         "H",
-        "E",
         "D",
         "dist_total",
         "dist_local",
         "dist_hydro",
         "pairing",
-        "ratio_c1",
-        "ratio_c6",
         "kappa_min",
         "kappa_max",
     )
-    record = DiagnosticsRecord(*(float(i) for i in range(13)))
-    assert record.as_row() == tuple(float(i) for i in range(13))
+    record = DiagnosticsRecord(*(float(i) for i in range(10)))
+    assert record.as_row() == tuple(float(i) for i in range(10))
     assert record.t == 0.0
-    assert record.kappa_max == 12.0
+    assert record.kappa_max == 9.0
 
 
 def test_distance_triangle_and_pairing_bound(default_run):

@@ -1,6 +1,7 @@
 """Source hygiene: no unused import, no unused function parameter and no
 export without a caller in src/, every attribute the benchmark's tracer
-wraps still exists, and every CLI subcommand names its handler.
+wraps still exists, every CLI subcommand names its handler, and README's
+diagnostics columns and config table match the code.
 
 An AST scan of every module of the package. A name counts as used when
 it is loaded anywhere in its module (annotations included) or listed in
@@ -10,15 +11,21 @@ own definition loads it, by name or as an attribute.
 """
 import argparse
 import ast
+import dataclasses
 import importlib
 import pathlib
+import re
 
 import fermibolt
 from fermibolt import cli
+from fermibolt.config import ExperimentConfig
+from fermibolt.functionals import RECORD_FIELDS
 
 PACKAGE = pathlib.Path(fermibolt.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "child.py"
+README = ROOT / "README.md"
 # wrapped by the tracer outside HOOKS: the set-up mark and the kernel size
 TRACER_EXTRA = (("fermibolt.experiment", "global_equilibrium"),
                 ("fermibolt.experiment", "build_kernel"))
@@ -160,3 +167,23 @@ def test_every_subcommand_has_a_handler():
     assert all(callable(handler) for handler in handlers.values()), handlers
     defined = {name for name in vars(cli) if name.startswith("_cmd_")}
     assert {handler.__name__ for handler in handlers.values()} == defined
+
+
+def _readme_section(heading):
+    """README's text from the line `heading` to the next heading."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n{heading}\n")
+    end = text.find("\n#", start + len(heading) + 2)
+    return text[start:end if end >= 0 else len(text)]
+
+
+def test_readme_lists_the_csv_columns():
+    match = re.search(r"`out/diagnostics\.csv`:.*?with columns\s+`([^`]*)`",
+                      _readme_section("### Artifacts"), re.S)
+    assert match, "no diagnostics.csv column list in README's Artifacts"
+    assert tuple(name.strip() for name in match.group(1).split(",")) == RECORD_FIELDS
+
+
+def test_readme_config_table_lists_every_key():
+    keys = re.findall(r"^\| `(\w+)`", _readme_section("### Config file"), re.M)
+    assert keys == [field.name for field in dataclasses.fields(ExperimentConfig)]

@@ -29,7 +29,7 @@ def _records(n):
     rng = np.random.default_rng(101)
     out = []
     for k in range(n):
-        values = [float(k)] + list(rng.uniform(-1.0, 1.0, size=12))
+        values = [float(k)] + list(rng.uniform(-1.0, 1.0, size=len(RECORD_FIELDS) - 1))
         out.append(DiagnosticsRecord(*values))
     return out
 
