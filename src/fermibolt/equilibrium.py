@@ -54,6 +54,7 @@ def solve_kappa_many(
     grid: VelocityGrid,
     rel_tol: float = 1e-12,
     initial: np.ndarray | None = None,
+    work=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invert density -> kappa for a 1-d batch of target densities.
 
@@ -66,6 +67,11 @@ def solve_kappa_many(
     warm start (previous kappa field), otherwise the small-kappa linear
     estimate target / int(M) seeds the iteration; a warm start that runs
     out of iterations restarts from that estimate.
+
+    Every iteration evaluates the profile into one new (targets, nodes)
+    array, the one returned; its denominator and the slope's terms go to
+    the first two arrays of `work`, C-contiguous float arrays of that
+    shape (None allocates them).
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 1:
@@ -90,17 +96,20 @@ def solve_kappa_many(
     tol = rel_tol * targets
     lo = np.zeros_like(targets)          # density(0) = 0 < target always
     hi = np.full_like(targets, np.inf)
+    profile = np.empty(targets.shape + m.shape)
+    denom, terms = np.empty((2,) + profile.shape) if work is None else work[:2]
     for _ in range(MAX_NEWTON_ITER):
-        profile = kappa[:, None] * m
-        denom = 1.0 + profile
+        np.multiply(kappa[:, None], m, out=profile)
+        np.add(1.0, profile, out=denom)
         profile /= denom                 # kappa M / (1 + kappa M)
-        resid = np.add.reduce(profile * w, axis=-1) - targets
+        resid = np.add.reduce(np.multiply(profile, w, out=terms), axis=-1) - targets
         done = np.abs(resid) <= tol
         if done.all():
             return kappa, profile
         # far above the root denom * denom overflows: the slope is 0, so bisect
         with np.errstate(over="ignore"):
-            slope = np.add.reduce(m / (denom * denom) * w, axis=-1)
+            np.divide(m, np.multiply(denom, denom, out=terms), out=terms)
+            slope = np.add.reduce(np.multiply(terms, w, out=terms), axis=-1)
         below = resid < 0.0
         np.maximum(lo, kappa, out=lo, where=below)
         np.minimum(hi, kappa, out=hi, where=~below)
@@ -117,7 +126,7 @@ def solve_kappa_many(
         kappa = trial
     if initial is not None:
         # a warm start far above the root halves its way down too slowly
-        return solve_kappa_many(targets, grid, rel_tol)
+        return solve_kappa_many(targets, grid, rel_tol, work=work)
     raise RuntimeError(
         f"kappa iteration failed to reach rel_tol={rel_tol:g} "
         f"in {MAX_NEWTON_ITER} steps"
@@ -141,19 +150,20 @@ def global_equilibrium(mass: float, grid: VelocityGrid) -> EquilibriumProfile:
 
 
 def project(f: np.ndarray, grid: VelocityGrid, kappa_cache: np.ndarray | None = None,
-            rho: np.ndarray | None = None):
+            rho: np.ndarray | None = None, work=None):
     """Cell-by-cell Fermi-Dirac profile with the same density as f.
 
     Returns (profile_field, kappa) with profile_field shaped like f and
     kappa one value per cell. The projection only matches the density;
     odd velocity moments of the output vanish by lattice symmetry.
     `rho`, when given, is the density of f that `moments` computed; the
-    profile is the one the converged Newton evaluation built.
+    profile is the one the converged Newton evaluation built, the one new
+    array of f's shape; `work` is the solve's scratch (`solve_kappa_many`).
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[1] != grid.n_nodes:
         raise ValueError("expected f shaped (cells, velocity nodes)")
     if rho is None:
         rho = integrate(f, grid)
-    kappa, profile = solve_kappa_many(rho, grid, PROJECT_REL_TOL, kappa_cache)
+    kappa, profile = solve_kappa_many(rho, grid, PROJECT_REL_TOL, kappa_cache, work)
     return profile, kappa

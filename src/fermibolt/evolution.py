@@ -38,6 +38,10 @@ temporary, yet each returns its result in a freshly allocated array: a
 state a caller holds is never overwritten by a later step. A state whose
 shape is not the plan's is refused, and two threads must not step with
 one plan at once.
+
+Between steps the rows sit idle, and a run lends all four to its record
+pass and its audit fold (`experiment._diagnose`, `audit_proof_chain`):
+nothing a step leaves in them is read again.
 """
 from __future__ import annotations
 
@@ -125,12 +129,14 @@ def initial_state(
 
 
 def _minmod(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """minmod(a, b) into `out`; b is left holding |b|."""
-    same_sign = np.multiply(a, b, out=out) > 0.0
-    np.minimum(np.abs(a, out=out), np.abs(b, out=b), out=out)
-    np.copysign(out, a, out=out)  # sign(a) min(|a|, |b|): a != 0 wherever it is kept
-    np.copyto(out, 0.0, where=~same_sign)
-    return out
+    """minmod(a, b) into `out`: a clipped to [min(b, 0), max(b, 0)]; b is left holding max(b, 0).
+
+    No product a * b is formed, so slopes whose product underflows still
+    give the smaller one, not 0.
+    """
+    np.minimum(b, 0.0, out=out)
+    np.maximum(b, 0.0, out=b)
+    return np.clip(a, out, b, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +157,7 @@ class StepPlan:
     mu: np.ndarray             # Courant number |v1| transport_dt / dx
     muscl: np.ndarray | None   # -+0.5 mu (1 - mu) by half; None for upwind1
     maxwellian: np.ndarray     # the lattice Maxwellian M
-    work: tuple[np.ndarray, ...]  # four (cells, nodes) scratch rows of the sub-steps
+    work: tuple[np.ndarray, ...]  # four (cells, nodes) scratch rows, also lent to the records
 
 
 def plan_step(kernel: CollisionKernel, vgrid: VelocityGrid, sgrid: SpatialGrid,

@@ -13,6 +13,10 @@ window and finishes the audit's record-only terms, reporting the
 empirical extremal constants. Both form the modified entropy
 E = H + delta * pairing from the records (`modified_entropy`), which
 do not store it.
+
+The record pass and the audit fold build every state-sized temporary in
+the step plan's four workspace rows, idle between steps, so the
+RESIDENT_STATES arrays that `_check_budgets` counts bound the run's peak.
 """
 from __future__ import annotations
 
@@ -71,10 +75,13 @@ __all__ = [
 ]
 
 SNAPSHOT_STRIDE = 10          # full state every this many records
-# Largest total of the (cells, nodes) float64 arrays a run keeps resident
-# between records: the initial and current states and a step's two fresh
+# Largest total of the (cells, nodes) float64 arrays alive at once in a
+# run, at its peak: the initial and current states and a step's two fresh
 # sub-step results, the plan's four workspace rows and its mu, muscl and
 # Maxwellian tiles, and the two barrier tiles of the per-step check.
+# Between steps the record pass and the audit fold work in the plan's
+# rows and hold at most two fresh arrays, the projection and one more, in
+# the slots of the step's results.
 STATE_BUDGET_BYTES = 512 * 2**20
 RESIDENT_STATES = 13
 DELTA_WINDOW = 5.0            # time span whose records choose delta = auto
@@ -129,17 +136,19 @@ class RunResult:
 
 
 def observe(f: np.ndarray, eq: EquilibriumProfile, warm: np.ndarray | None,
-            vgrid: VelocityGrid, sgrid: SpatialGrid):
+            vgrid: VelocityGrid, sgrid: SpatialGrid, work=None):
     """Moments, Poisson field and local Fermi-Dirac projection of one state.
 
     Returns (fields, proj, kappa), each quantity computed once: the
     projection inverts the density that `moments` found, starting its
     Newton solve from the kappa field `warm` (None for a cold start).
-    Pure: the caller decides where the new kappa is kept.
+    Pure: the caller decides where the new kappa is kept. `work` is
+    scratch of f's shape for the moments and the Newton solve; proj is
+    the one new array of that shape.
     """
-    rho, j = moments(f, vgrid)
+    rho, j = moments(f, vgrid, work)
     phi, grad_phi = solve_poisson(rho, eq.density, sgrid)
-    proj, kappa = project(f, vgrid, kappa_cache=warm, rho=rho)
+    proj, kappa = project(f, vgrid, kappa_cache=warm, rho=rho, work=work)
     return FieldSet(rho, j, phi, grad_phi), proj, kappa
 
 
@@ -147,22 +156,26 @@ def _diagnose(
     state: PhaseState,
     kernel: CollisionKernel,
     eq: EquilibriumProfile,
+    work=None,
 ) -> tuple[DiagnosticsRecord, tuple]:
     """The record of a state and its `observe`.
 
     The projection starts from `state.kappa_cache`, which is left as it is.
+    Every functional builds its temporaries in `work`, four arrays of the
+    state's shape (a run passes its plan's workspace; None lets each
+    allocate its own).
     """
     vg, sg = state.vgrid, state.sgrid
     f = state.f
-    fields, proj, kappa = observe(f, eq, state.kappa_cache, vg, sg)
+    fields, proj, kappa = observe(f, eq, state.kappa_cache, vg, sg, work)
     record = DiagnosticsRecord(
         t=state.time,
         mass=float(np.add.reduce(fields.rho)) * sg.spacing,
-        H=relative_entropy(f, eq.profile, vg, sg),
-        D=dissipation(f, kernel, vg, sg),
-        dist_total=weighted_norm(f, vg, sg, eq.profile),
-        dist_local=weighted_norm(f, vg, sg, proj),
-        dist_hydro=weighted_norm(proj, vg, sg, eq.profile),
+        H=relative_entropy(f, eq.profile, vg, sg, work),
+        D=dissipation(f, kernel, vg, sg, work),
+        dist_total=weighted_norm(f, vg, sg, eq.profile, work),
+        dist_local=weighted_norm(f, vg, sg, proj, work),
+        dist_hydro=weighted_norm(proj, vg, sg, eq.profile, work),
         pairing=field_current_pairing(fields, sg),
         kappa_min=float(np.minimum.reduce(kappa)),
         kappa_max=float(np.maximum.reduce(kappa)),
@@ -312,7 +325,9 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     manifest, written with `delta = auto` before the first step, is then
     rewritten with the chosen value. Each interior snapshot record is
     folded into the audit as it is made, and its index is kept for
-    `_close_audit`.
+    `_close_audit`. Records, the audit folds and the initial mass work in
+    the step plan's workspace rows, so the run's state-sized arrays never
+    exceed the RESIDENT_STATES that `_check_budgets` admitted.
     """
     config.validate()
     vgrid, sgrid, kernel = build_lattice(config)
@@ -331,8 +346,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     plan = plan_step(kernel, vgrid, sgrid, config)
     dt = plan.dt
 
-    rho0, _ = moments(init.state.f, vgrid)
-    mass0 = float(np.sum(rho0)) * sgrid.spacing
+    mass0 = float(np.sum(integrate(init.state.f, vgrid, plan.work))) * sgrid.spacing
     eq = global_equilibrium(mass0, vgrid)
 
     delta = config.delta  # None until the window closes on an auto run
@@ -365,7 +379,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
             # the last step always records, so an end state is known here
             recorded = k % config.record_every == 0 or k == n_steps
             if recorded:
-                record, seen = _diagnose(state, kernel, eq)
+                record, seen = _diagnose(state, kernel, eq, plan.work)
                 # the run keeps each record's kappa as the next record's warm start
                 state.kappa_cache = seen[2]
                 _check_record(k, record, mass0)
@@ -379,13 +393,16 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
                     if k in (0, n_steps):
                         audit["samples_skipped"] += 1
                     else:
-                        audit_proof_chain(audit, state, seen, record, kernel=kernel, eq=eq)
+                        audit_proof_chain(audit, state, seen, record, kernel=kernel, eq=eq,
+                                          work=plan.work)
                         audited.append(len(records) - 1)
                     if snap_dir is not None:
                         snapshot_dump(state, os.path.join(snap_dir, f"state_{k:08d}.snap"))
                 del seen  # its projection is state-sized: not resident during the steps
             if delta is None and k == n_window:
-                window = records if recorded else records + [_diagnose(state, kernel, eq)[0]]
+                window = records
+                if not recorded:  # the window closes off the record grid
+                    window = records + [_diagnose(state, kernel, eq, plan.work)[0]]
                 delta = _resolve_delta(window)
                 if snap_dir is not None:
                     _write_manifest(snap_dir, replace(config, dt=dt, delta=delta))
@@ -489,34 +506,41 @@ AUDIT_START = {
 
 
 def audit_proof_chain(out: dict, state: PhaseState, seen: tuple, record: DiagnosticsRecord,
-                      *, kernel: CollisionKernel, eq: EquilibriumProfile) -> None:
+                      *, kernel: CollisionKernel, eq: EquilibriumProfile, work=None) -> None:
     """Fold one interior snapshot state, its `observe` and its record into `out`.
 
     Recomputes both sides of every inequality that needs the full state; a
     record distance below AUDIT_DIST_FLOOR supports no ratio and is skipped.
+    Q(f) and every temporary of the state's shape go to `work`, four
+    C-contiguous arrays of that shape (None allocates them).
     """
     vg, sg = state.vgrid, state.sgrid
     fields, proj, kappa = seen
     dl, dh = record.dist_local, record.dist_hydro
-    q_coll = apply_collision(state.f, kernel, vg)
+    if work is None:
+        work = np.empty((4,) + state.f.shape)
+    q_coll = apply_collision(state.f, kernel, vg, out=work[0], work=work[1:4])
+    rows = work[1:]  # scratch beside Q(f)
 
     # the operator bound; c1, and its skip count, come from the records
     if dl > AUDIT_DIST_FLOOR:
-        q_norm = weighted_norm(q_coll, vg, sg)
+        q_norm = weighted_norm(q_coll, vg, sg, work=rows)
         out["c2_max_ratio"] = max(out["c2_max_ratio"], q_norm / dl)
 
-    # pointwise profile-vs-moment comparisons
+    # pointwise profile-vs-moment comparisons, on the cells `keep` picks
     dkap = kappa - eq.kappa
     drho = fields.rho - eq.density
     keep = np.abs(dkap) > 1e-9 * eq.kappa
     if np.any(keep):
-        dev = (proj[keep] - eq.profile[None, :]) / vg.maxwellian[None, :]
-        dev_sq = dev * dev
-        rk_rhs = (dkap[keep] * drho[keep])[:, None]
-        out["c3_min"] = min(out["c3_min"], float(np.min(rk_rhs / dev_sq)))
-        rr = (drho[keep] ** 2)[:, None] / dev_sq
-        out["c4_min"] = min(out["c4_min"], float(np.min(rr)))
-        out["c5_max"] = max(out["c5_max"], float(np.max(rr)))
+        kept = keep[:, None]  # the other cells' rows are neither divided nor read
+        dev_sq = np.subtract(proj, eq.profile, out=rows[0])
+        dev_sq /= vg.maxwellian
+        np.multiply(dev_sq, dev_sq, out=dev_sq)
+        ratio = np.divide((dkap * drho)[:, None], dev_sq, out=rows[1], where=kept)
+        out["c3_min"] = min(out["c3_min"], float(np.min(ratio, where=kept, initial=np.inf)))
+        np.divide((drho**2)[:, None], dev_sq, out=ratio, where=kept)
+        out["c4_min"] = min(out["c4_min"], float(np.min(ratio, where=kept, initial=np.inf)))
+        out["c5_max"] = max(out["c5_max"], float(np.max(ratio, where=kept, initial=-np.inf)))
 
     # corrector's time derivative: the potential's motion against the
     # current. d rho / dt = -d j1 / dx is the semi-discrete continuity law;
@@ -528,17 +552,19 @@ def audit_proof_chain(out: dict, state: PhaseState, seen: tuple, record: Diagnos
 
     # hydrodynamic coercivity and the two cross terms
     if dh > AUDIT_DIST_FLOOR:
-        q_second = integrate(
-            (proj - eq.profile[None, :]) * (vg.first_axis**2)[None, :], vg
-        )
+        v1_sq = vg.first_axis**2
+        second = np.subtract(proj, eq.profile, out=rows[0])
+        second *= v1_sq
+        q_second = integrate(second, vg, rows)
         t1 = -float(np.sum(fields.grad_phi * centered_gradient(q_second, sg))) * sg.spacing
         out["c9_min"] = min(out["c9_min"], -t1 / dh**2)
         if dl > AUDIT_DIST_FLOOR:
-            dx_g = centered_gradient(state.f - proj, sg)
-            flux2 = integrate(dx_g * (vg.first_axis**2)[None, :], vg)
+            dx_g = centered_gradient(np.subtract(state.f, proj, out=rows[0]), sg, out=rows[1])
+            dx_g *= v1_sq
+            flux2 = integrate(dx_g, vg, rows[1:])
             t2 = -float(np.sum(fields.grad_phi * flux2)) * sg.spacing
             out["c10_max"] = max(out["c10_max"], t2 / (dl * dh))
-            flux_q = integrate(q_coll * vg.first_axis[None, :], vg)
+            flux_q = integrate(np.multiply(q_coll, vg.first_axis, out=rows[0]), vg, rows)
             t3 = float(np.sum(fields.grad_phi * flux_q)) * sg.spacing
             out["c11_max"] = max(out["c11_max"], t3 / (dl * dh))
     out["samples_used"] += 1
@@ -590,6 +616,7 @@ def audit_snapshots(records, states, *, kernel: CollisionKernel,
     t = np.array([r.t for r in records])
     out = dict(AUDIT_START)
     audited = []
+    work = None  # one workspace for every snapshot, shaped by the first
     for state in states:
         matches = np.nonzero(np.abs(t - state.time) <= 1e-9 * max(1.0, abs(state.time)))[0]
         if matches.size == 0:
@@ -601,8 +628,10 @@ def audit_snapshots(records, states, *, kernel: CollisionKernel,
             out["samples_skipped"] += 1
             continue
         audited.append(k)
-        seen = observe(state.f, eq, state.kappa_cache, state.vgrid, state.sgrid)
-        audit_proof_chain(out, state, seen, records[k], kernel=kernel, eq=eq)
+        if work is None:
+            work = np.empty((4,) + state.f.shape)
+        seen = observe(state.f, eq, state.kappa_cache, state.vgrid, state.sgrid, work)
+        audit_proof_chain(out, state, seen, records[k], kernel=kernel, eq=eq, work=work)
     return _close_audit(out, audited, records, delta)
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .velocity import VelocityGrid, integrate
+from .velocity import VelocityGrid, integrate, mirror_fold, scratch
 
 __all__ = [
     "SpatialGrid",
@@ -53,18 +53,32 @@ class FieldSet:
     grad_phi: np.ndarray  # (cells,)
 
 
-def moments(f: np.ndarray, vgrid: VelocityGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Density and current per spatial cell."""
+def moments(f: np.ndarray, vgrid: VelocityGrid, work=None) -> tuple[np.ndarray, np.ndarray]:
+    """Density and current per spatial cell.
+
+    `work` is as for `integrate`: its first two arrays hold the
+    quadrature terms and their folded pairs; None allocates them.
+    """
     f = np.asarray(f)
-    rho = integrate(f, vgrid)
-    # one quadrature for all components; contiguous node rows keep each one
-    # bitwise equal to its own `integrate` call
-    j = integrate(f[..., None, :] * np.ascontiguousarray(vgrid.nodes.T), vgrid)
-    return rho, j
+    terms, spare = (np.empty(f.shape), None) if work is None else work[:2]
+    rho = integrate(f, vgrid, (terms, spare))
+    # one reduction over (cells, d_v, half), the shape that one `integrate`
+    # of the (cells, d_v, nodes) product reduces; its terms are formed one
+    # component at a time, each bitwise what the whole product would hold
+    dim, half = vgrid.dim, vgrid.n_nodes // 2
+    folded = scratch(spare, f.shape[:-1] + (dim, half))
+    for d, axis in enumerate(np.ascontiguousarray(vgrid.nodes.T)):
+        np.multiply(f, axis, out=terms)
+        terms *= vgrid.weight
+        mirror_fold(terms, folded[..., d, :])
+    return rho, np.add.reduce(folded, axis=-1)
 
 
-def centered_gradient(u: np.ndarray, sgrid: SpatialGrid) -> np.ndarray:
-    out = np.empty_like(u)  # u[x+1] - u[x-1], periodic
+def centered_gradient(u: np.ndarray, sgrid: SpatialGrid,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """(u[x+1] - u[x-1]) / (2 dx), periodic, into `out` (u's shape; None allocates)."""
+    if out is None:
+        out = np.empty_like(u)
     np.subtract(u[2:], u[:-2], out=out[1:-1])
     out[0], out[-1] = u[1] - u[-1], u[0] - u[-2]
     out /= 2.0 * sgrid.spacing

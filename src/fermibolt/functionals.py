@@ -20,6 +20,11 @@ macroscopic corrector of Dolbeault, Mouhot and Schmeiser (Trans. AMS
 2015): phi is a diagnostic built from the density, not a force on f.
 A record stores H and the pairing, not E: E depends on delta, and is
 formed where it is read (`experiment.modified_entropy`).
+
+Each functional takes `work=`, a sequence of C-contiguous float arrays of
+the state's shape, and builds its temporaries there in place: a run lends
+them its step workspace (`evolution.StepPlan.work`). None allocates them;
+the float operations and their order are the same either way.
 """
 from __future__ import annotations
 
@@ -40,17 +45,22 @@ __all__ = [
 ]
 
 def weighted_norm(g: np.ndarray, vgrid: VelocityGrid, sgrid: SpatialGrid,
-                  ref: np.ndarray | None = None) -> float:
+                  ref: np.ndarray | None = None, work=None) -> float:
     """sqrt( sum_x dx sum_v (g - ref)^2 / M w ); deterministic pairwise reduction.
 
     `ref` is a field or a profile broadcast over the cells; None is zero.
+    The squares go to the first array of `work`.
     """
     g = np.asarray(g)
     if g.ndim != 2 or g.shape[1] != vgrid.n_nodes:
         raise ValueError("expected a field shaped (cells, velocity nodes)")
+    sq = np.empty(g.shape) if work is None else work[0]
     if ref is not None:
-        g = g - ref
-    total = np.add.reduce(np.add.reduce(g * g / vgrid.maxwellian * vgrid.weight, axis=-1))
+        g = np.subtract(g, ref, out=sq)
+    np.multiply(g, g, out=sq)
+    sq /= vgrid.maxwellian
+    sq *= vgrid.weight
+    total = np.add.reduce(np.add.reduce(sq, axis=-1))
     return float(np.sqrt(total * sgrid.spacing))
 
 
@@ -68,14 +78,19 @@ def relative_entropy(
     eq_profile: np.ndarray,
     vgrid: VelocityGrid,
     sgrid: SpatialGrid,
+    work=None,
 ) -> float:
-    """Physical entropy of f relative to the uniform profile."""
+    """Physical entropy of f relative to the uniform profile; three arrays of `work`."""
     f = np.asarray(f, dtype=float)
     _check_open_interval(f)
     p = eq_profile
-    hole = 1.0 - f
-    s = f * np.log(f / p) + hole * np.log(hole / (1.0 - p))
-    return float(np.add.reduce(np.add.reduce(s * vgrid.weight, axis=-1)) * sgrid.spacing)
+    hole, s, t = np.empty((3,) + f.shape) if work is None else work[:3]
+    np.subtract(1.0, f, out=hole)
+    np.multiply(f, np.log(np.divide(f, p, out=s), out=s), out=s)
+    np.multiply(hole, np.log(np.divide(hole, 1.0 - p, out=t), out=t), out=t)
+    s += t
+    s *= vgrid.weight
+    return float(np.add.reduce(np.add.reduce(s, axis=-1)) * sgrid.spacing)
 
 
 def dissipation(
@@ -83,6 +98,7 @@ def dissipation(
     kernel,
     vgrid: VelocityGrid,
     sgrid: SpatialGrid,
+    work=None,
 ) -> float:
     """Collision entropy production, >= 0 up to rounding.
 
@@ -102,16 +118,23 @@ def dissipation(
 
     f must lie strictly inside (0, 1); that is not checked here. A run
     checks it once per record through `relative_entropy` on the same f.
+    The terms take four arrays of `work`; the 2-d Gaussian scatter's
+    matmul intermediate is the one array of f's shape it allocates.
     """
     f = np.asarray(f, dtype=float)
-    a = vgrid.maxwellian * (1.0 - f)          # (cells, N)
-    ratio = f / a                             # F = f / (M (1 - f))
+    a, terms, chi, bracket = np.empty((4,) + f.shape) if work is None else work[:4]
+    np.multiply(vgrid.maxwellian, np.subtract(1.0, f, out=a), out=a)
+    ratio = np.divide(f, a, out=terms)        # F = f / (M (1 - f))
     centre = np.add.reduce(f, axis=-1) / np.add.reduce(a, axis=-1)  # uniform weights cancel
-    ratio_shift = ratio - centre[:, None]
-    chi_shift = np.log(ratio) - np.log(centre)[:, None]
-    bracket = chi_shift * kernel.scatter(a) - kernel.scatter(a * chi_shift)
-    per_node = a * ratio_shift * bracket
-    return float(np.add.reduce(np.add.reduce(per_node * vgrid.weight, axis=-1))) * sgrid.spacing
+    np.subtract(np.log(ratio, out=chi), np.log(centre)[:, None], out=chi)
+    np.subtract(ratio, centre[:, None], out=terms)
+    np.multiply(a, terms, out=terms)          # a Ft
+    np.multiply(chi, kernel.scatter(a, out=bracket), out=bracket)
+    a *= chi
+    bracket -= kernel.scatter(a, out=chi)     # chit (S a) - S (a chit)
+    terms *= bracket
+    terms *= vgrid.weight
+    return float(np.add.reduce(np.add.reduce(terms, axis=-1))) * sgrid.spacing
 
 
 def field_current_pairing(fields: FieldSet, sgrid: SpatialGrid) -> float:

@@ -522,6 +522,19 @@ def test_run_and_post_hoc_audits_agree_bitwise(name, request):
     assert post_hoc == constants
 
 
+def test_post_hoc_audit_folds_every_snapshot_in_one_workspace(boundary_run, monkeypatch):
+    folds = []
+    real_fold = experiment.audit_proof_chain
+
+    def fold(*args, work, **kwargs):
+        folds.append(work)
+        return real_fold(*args, work=work, **kwargs)
+
+    monkeypatch.setattr(experiment, "audit_proof_chain", fold)
+    _audit_from_artifacts(boundary_run.output_dir)
+    assert len(folds) == 2 and folds[1] is folds[0]
+
+
 def test_audit_constants_on_tiny_run(tiny_run):
     constants = tiny_run.rate_report.lemma_constants
     for key in ("c1_min", "c6_min", "c9_min", "gronwall_ratio_min"):

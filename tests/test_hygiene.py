@@ -1,7 +1,7 @@
 """Source hygiene: no unused import, no unused function parameter and no
 export without a caller in src/, every attribute the benchmark's tracer
 wraps still exists, every CLI subcommand names its handler, and README's
-diagnostics columns and config table match the code.
+diagnostics columns, config table and memory budgets match the code.
 
 An AST scan of every module of the package. A name counts as used when
 it is loaded anywhere in its module (annotations included) or listed in
@@ -17,7 +17,8 @@ import pathlib
 import re
 
 import fermibolt
-from fermibolt import cli
+from fermibolt import cli, experiment
+from fermibolt.collision import TABLE_BUDGET_BYTES
 from fermibolt.config import ExperimentConfig
 from fermibolt.functionals import RECORD_FIELDS
 
@@ -187,3 +188,15 @@ def test_readme_lists_the_csv_columns():
 def test_readme_config_table_lists_every_key():
     keys = re.findall(r"^\| `(\w+)`", _readme_section("### Config file"), re.M)
     assert keys == [field.name for field in dataclasses.fields(ExperimentConfig)]
+
+
+def test_readme_budget_sentence_matches_the_constants():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    match = re.search(r"the run's (\d+) \(cells, nodes\) float64 arrays may take at most "
+                      r"(\d+) MiB, and the kernel's table at most (\d+) MiB", text)
+    assert match, "no memory budget sentence in README"
+    assert tuple(int(group) for group in match.groups()) == (
+        experiment.RESIDENT_STATES,
+        experiment.STATE_BUDGET_BYTES // 2**20,
+        TABLE_BUDGET_BYTES // 2**20,
+    )

@@ -14,8 +14,9 @@ from fermibolt import cli, experiment
 from fermibolt.collision import build_kernel, collision_dt_ceiling
 from fermibolt.config import ConfigError, ExperimentConfig, format_config
 from fermibolt.equilibrium import fermi_profile, project, solve_kappa_many
-from fermibolt.evolution import plan_step
-from fermibolt.experiment import AUDIT_DIST_FLOOR, SNAPSHOT_STRIDE, observe, run_experiment
+from fermibolt.evolution import initial_state, plan_step, step
+from fermibolt.experiment import (AUDIT_DIST_FLOOR, AUDIT_START, DELTA_WINDOW, SNAPSHOT_STRIDE,
+                                  observe, run_experiment)
 from fermibolt.functionals import RECORD_FIELDS
 from fermibolt.velocity import build_velocity_grid, integrate
 
@@ -171,8 +172,8 @@ def test_traced_layers_see_every_record_once(delta, monkeypatch):
     assert result.rate_report.lemma_constants
     n_records = len(result.records)
     n_diagnosed = n_records + (delta is None)  # plus the off-grid window sample
+    # the initial mass is an `integrate` of the density alone, not a `moments` call
     want = {name: per * n_diagnosed for name, per in PER_RECORD.items()}
-    want["moments"] += 1  # the initial mass
     assert {name: c[0] for name, c in calls.items()} == want
 
     # one fold per interior snapshot record, made from that record's observation
@@ -380,3 +381,125 @@ def test_cli_run_refuses_an_oversized_kernel_table(tmp_path, capsys):
         "134217728 bytes (128 MiB), over the 64 MiB budget"
     ]
     assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------------ the record pass's memory
+
+def _stepped(config, steps=3):
+    """(state, plan, kernel, eq) a few steps into a perturbed run of `config`."""
+    vgrid, sgrid, kernel = experiment.build_lattice(config)
+    state = initial_state(sgrid, vgrid, config.kappa_bar, config.amplitude,
+                          perturbation=config.perturbation, seed=config.seed).state
+    plan = plan_step(kernel, vgrid, sgrid, config)
+    for _ in range(steps):
+        state = step(state, plan)
+    eq = experiment.global_equilibrium(float(np.sum(integrate(state.f, vgrid))) * sgrid.spacing,
+                                       vgrid)
+    return state, plan, kernel, eq
+
+
+RECORD_LATTICES = {
+    "1d-default": dict(),
+    "2d-32sq": dict(d_v=2, nodes_per_axis=32, spatial_cells=32, kernel="gaussian_bump"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(RECORD_LATTICES))
+def stepped(request):
+    config = ExperimentConfig(perturbation=1e-3, seed=7, **RECORD_LATTICES[request.param])
+    return _stepped(config)
+
+
+def _traced_peak(call):
+    call()  # warm-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# Traced peak of one record pass (`_diagnose`) and one audit fold over
+# f.nbytes. With their own temporaries they were 8.2 and 8.7 on the 1-d
+# default and 9.3 and 8.0 at 32^2 nodes over 32 cells; in the plan's
+# workspace they are 3.26 and 1.24, 2.27 and 0.55. Two state-sized arrays
+# remain: the projection, and in `dissipation` the 2-d Gaussian scatter's
+# matmul intermediate. The slack is numpy's ufunc buffers for broadcast
+# operands, min(size, 8192) doubles each and at most two at once (a column
+# times a row), whole arrays on the 1-d default, plus per-cell vectors.
+def _record_pass_bound(f):
+    return 2 * f.nbytes + 2 * 8 * min(f.size, 8192) + 16 * 2**10
+
+
+def test_record_pass_allocates_two_states_at_most(stepped):
+    state, plan, kernel, eq = stepped
+    peak = _traced_peak(lambda: experiment._diagnose(state, kernel, eq, plan.work))
+    assert peak <= _record_pass_bound(state.f)
+
+
+def test_audit_fold_allocates_two_states_at_most(stepped):
+    state, plan, kernel, eq = stepped
+    record, seen = experiment._diagnose(state, kernel, eq, plan.work)
+    # every branch of the fold runs
+    assert min(record.dist_local, record.dist_hydro) > AUDIT_DIST_FLOOR
+    out = dict(AUDIT_START)
+    peak = _traced_peak(lambda: experiment.audit_proof_chain(
+        out, state, seen, record, kernel=kernel, eq=eq, work=plan.work))
+    assert peak <= _record_pass_bound(state.f)
+
+
+def test_record_pass_reads_nothing_stale_from_its_workspace(stepped):
+    # a workspace full of NaN gives the records and the audit of fresh scratch
+    state, plan, kernel, eq = stepped
+    f = state.f.copy()
+    dirty = tuple(np.full((4,) + f.shape, np.nan))
+    record, seen = experiment._diagnose(state, kernel, eq, dirty)
+    want, want_seen = experiment._diagnose(state, kernel, eq)
+    assert np.array(record.as_row()).tobytes() == np.array(want.as_row()).tobytes()
+    for got, ref in zip(seen[1:] + (seen[0].rho, seen[0].j),
+                        want_seen[1:] + (want_seen[0].rho, want_seen[0].j)):
+        assert np.array_equal(got, ref)
+    got_audit, want_audit = dict(AUDIT_START), dict(AUDIT_START)
+    for row in dirty:
+        row.fill(np.nan)
+    experiment.audit_proof_chain(got_audit, state, seen, record, kernel=kernel, eq=eq,
+                                 work=dirty)
+    experiment.audit_proof_chain(want_audit, state, want_seen, want, kernel=kernel, eq=eq)
+    assert got_audit == want_audit
+    assert np.array_equal(state.f, f)
+
+
+# Slack of the whole-run peak over RESIDENT_STATES states: numpy's ufunc
+# buffers (64 KiB each) and what the run holds besides states (the records,
+# the lattice rows, the kernel factor); 146-156 KiB measured at 32^2 nodes
+# over 16 and 32 cells.
+RUN_PEAK_SLACK = 256 * 2**10
+
+
+def test_run_peak_stays_within_the_resident_states(tmp_path):
+    # d_v = 2, 32^2 nodes over 16 cells, where states dominate: muscl2, the
+    # Gaussian kernel's 2-d scatter, `delta = auto` closing its window off
+    # the record grid, and 24 records, so two audit folds and three
+    # snapshots. When the record pass and the audit fold allocated their own
+    # temporaries the peak was 21.2 x f.nbytes.
+    config = ExperimentConfig(d_v=2, nodes_per_axis=32, half_width=4.0, spatial_cells=16,
+                              kernel="gaussian_bump", transport="muscl2", t_final=5.1,
+                              record_every=25, delta=None, perturbation=1e-3, seed=3)
+    # a tiny run first: numpy's lazily imported modules are not the run's
+    run_experiment(ExperimentConfig(nodes_per_axis=8, spatial_cells=8, t_final=0.1,
+                                    perturbation=1e-3))
+    tracemalloc.start()
+    try:
+        result = run_experiment(config, output_dir=str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dt = result.config.dt
+    n_window = math.ceil(DELTA_WINDOW / dt - 1e-12)
+    assert n_window % config.record_every and n_window < config.t_final / dt
+    assert len(result.records) >= 2 * SNAPSHOT_STRIDE + 1
+    assert result.rate_report.lemma_constants["samples_used"] == 2
+    f_bytes = result.final_state.f.nbytes
+    assert peak <= experiment.RESIDENT_STATES * f_bytes + RUN_PEAK_SLACK
