@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a decay rate from run artifacts")
     p_fit.add_argument("csv", help="path to diagnostics.csv")
     p_fit.add_argument(
-        "snapshots", help="snapshot directory (holds manifest.cfg, which pins delta)"
+        "snapshots", help="snapshot directory (holds manifest.cfg)"
     )
     p_fit.set_defaults(handler=_cmd_fit)
 
@@ -116,13 +116,14 @@ def _cmd_run(args) -> int:
 
 
 def _load_run(csv_path: str, snap_dir: str, command: str):
-    """(config, lattice, records) of a finished run, or None after one `<command> failed:` line.
+    """(config, lattice, records) of a run, or None after one `<command> failed:` line.
 
-    The config is the manifest in `snap_dir`, which must pin delta; its
-    lattice is built, under the memory budgets, before the CSV is read.
+    The config is the manifest in `snap_dir`; its lattice is built, under
+    the memory budgets, before the CSV is read. A `delta = auto` manifest
+    gets the run's delta from the run's resolver and the CSV's records.
     """
     from .config import ConfigError, load_config
-    from .experiment import build_lattice
+    from .experiment import _resolve_delta, build_lattice
     from .storage import load_csv
 
     manifest = os.path.join(snap_dir, "manifest.cfg")
@@ -136,20 +137,18 @@ def _load_run(csv_path: str, snap_dir: str, command: str):
     except ConfigError as exc:
         print(f"{command} failed: {manifest}: {exc}", file=sys.stderr)
         return None
-    if config.delta is None:
-        print(f"{command} failed: manifest does not pin delta", file=sys.stderr)
-        return None
     try:
         records, n_warnings = load_csv(csv_path)
+        if not records:
+            raise ValueError(f"{csv_path} holds no records")
+        config.delta = _resolve_delta(config, records)
     except (OSError, ValueError) as exc:
-        # an old CSV, with the E column, fails here on its header
+        # an old CSV, with the E column, fails on its header; records that
+        # stop inside the delta window of an auto manifest, with a ConfigError
         print(f"{command} failed: {exc}", file=sys.stderr)
         return None
     if n_warnings:
         print(f"warning: {n_warnings} truncated trailing line ignored", file=sys.stderr)
-    if not records:
-        print(f"{command} failed: {csv_path} holds no records", file=sys.stderr)
-        return None
     return config, lattice, records
 
 

@@ -12,7 +12,8 @@ exponential decay rate of the equilibrium distance on the late-time
 window and finishes the audit's record-only terms, reporting the
 empirical extremal constants. Both form the modified entropy
 E = H + delta * pairing from the records (`modified_entropy`), which
-do not store it.
+do not store it. Nothing in the time loop reads delta: `_resolve_delta`
+chooses `delta = auto` after the run, as `fermibolt fit` and `audit` do.
 
 The record pass and the audit fold build every state-sized temporary in
 the step plan's four workspace rows, idle between steps, so the
@@ -257,16 +258,30 @@ def choose_delta(
     return best
 
 
-def _resolve_delta(window: list[DiagnosticsRecord]) -> float:
-    """Pick delta from the records of the delta window."""
+def _resolve_delta(config: ExperimentConfig, records) -> float:
+    """The run's delta: config.delta if pinned, else chosen from its window's records.
+
+    For `delta = auto` the window is the steps 0..n_window that reach
+    min(t_final, DELTA_WINDOW) at the config's numeric dt, and its records,
+    from the run or from its CSV alike, are those with t < (n_window + 1/2) dt.
+    Records that stop before the window's last one are a ConfigError.
+    """
+    if config.delta is not None:
+        return config.delta
+    dt = config.dt
+    if dt is None:  # a hand-written manifest; every run writes its dt
+        raise ConfigError("delta = auto needs a numeric dt to find its window")
+    n_steps = max(1, math.ceil(config.t_final / dt - 1e-12))
+    n_window = max(1, math.ceil(min(config.t_final, DELTA_WINDOW) / dt - 1e-12))
+    # the run's last step records; before it, the record grid does
+    last = n_window if n_window == n_steps else n_window - n_window % config.record_every
+    if not records or records[-1].t < (last - 0.5) * dt:
+        raise ConfigError(f"the records stop before step {last}, the delta window's "
+                          f"last record, so delta = auto cannot be chosen")
+    window = [r for r in records if r.t < (n_window + 0.5) * dt]
     t, entropy, pairing, dist_total = (np.array([getattr(r, name) for r in window])
                                        for name in ("t", "H", "pairing", "dist_total"))
     return choose_delta(t, entropy, pairing, dist_total)
-
-
-def _write_manifest(snap_dir: str, config: ExperimentConfig) -> None:
-    with open(os.path.join(snap_dir, "manifest.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(format_config(config))
 
 
 def _check_budgets(config: ExperimentConfig) -> None:
@@ -315,52 +330,41 @@ def build_lattice(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> RunResult:
     """Evolve the configured system and collect diagnostics.
 
-    When `output_dir` is given each record goes to diagnostics.csv as
-    soon as it is made, sparse snapshots and a manifest go to snapshots/,
-    and the rate report is written in both text and key = value form.
+    When `output_dir` is given, the snapshots and rate report of an
+    earlier run there are removed first. Then the config with its dt
+    resolved goes to snapshots/manifest.cfg (`delta = auto` stays auto
+    there), each record goes to diagnostics.csv as soon as it is made,
+    sparse snapshots go to snapshots/, and the rate report is written in
+    both text and key = value form.
 
-    With `delta = auto` the records of the first min(t_final, DELTA_WINDOW)
-    of the run itself choose delta at the step that closes the window,
-    with one more sample there when that step is off the record grid; the
-    manifest, written with `delta = auto` before the first step, is then
-    rewritten with the chosen value. Each interior snapshot record is
-    folded into the audit as it is made, and its index is kept for
-    `_close_audit`. Records, the audit folds and the initial mass work in
-    the step plan's workspace rows, so the run's state-sized arrays never
-    exceed the RESIDENT_STATES that `_check_budgets` admitted.
+    The initial state is checked as every step's result is, before the
+    first record. Each interior snapshot record is folded into the audit
+    as it is made, and its index is kept for `_close_audit`. Records, the
+    audit folds and the initial mass work in the step plan's workspace
+    rows, so the run's state-sized arrays never exceed the RESIDENT_STATES
+    that `_check_budgets` admitted. delta is resolved once, after the last
+    step, by `_resolve_delta`, which `fermibolt fit` and `audit` also call.
     """
     config.validate()
     vgrid, sgrid, kernel = build_lattice(config)
-    init = initial_state(
-        sgrid,
-        vgrid,
-        config.kappa_bar,
-        config.amplitude,
-        perturbation=config.perturbation,
-        seed=config.seed,
-    )
+    init = initial_state(sgrid, vgrid, config.kappa_bar, config.amplitude,
+                         perturbation=config.perturbation, seed=config.seed)
+    # the entropy takes logs of f and 1 - f: a barrier that rounds to 0 or 1 cannot run
+    low, high = float(np.min(init.f_lower)), float(np.max(init.f_upper))
+    if not (low > 0.0 and high < 1.0):
+        raise ConfigError(f"kappa_bar = {config.kappa_bar!r} with amplitude = "
+                          f"{config.amplitude!r}: the barrier profiles span "
+                          f"[{low!r}, {high!r}], not inside (0, 1)")
     # the barriers as tiles of the state's shape, for the per-step check
     lower, upper = (np.tile(row, (sgrid.cells, 1)) for row in (init.f_lower, init.f_upper))
     # resolves `dt = auto`, and refuses a pinned dt over the Courant limit
     # or the collision ceiling before any output is written
     plan = plan_step(kernel, vgrid, sgrid, config)
-    dt = plan.dt
+    resolved = replace(config, dt=plan.dt)
 
     mass0 = float(np.sum(integrate(init.state.f, vgrid, plan.work))) * sgrid.spacing
     eq = global_equilibrium(mass0, vgrid)
-
-    delta = config.delta  # None until the window closes on an auto run
-    n_steps = max(1, math.ceil(config.t_final / dt - 1e-12))
-    n_window = max(1, math.ceil(min(config.t_final, DELTA_WINDOW) / dt - 1e-12))
-
-    writer = None
-    snap_dir = None
-    if output_dir is not None:
-        os.makedirs(output_dir, exist_ok=True)
-        snap_dir = os.path.join(output_dir, "snapshots")
-        os.makedirs(snap_dir, exist_ok=True)
-        _write_manifest(snap_dir, replace(config, dt=dt))
-        writer = CsvWriter(os.path.join(output_dir, "diagnostics.csv"))
+    n_steps = max(1, math.ceil(config.t_final / plan.dt - 1e-12))
 
     def check_step(step_index: int, state: PhaseState) -> None:
         # node totals first: far cheaper than `moments`, same mass to rounding
@@ -369,6 +373,24 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
         _check_sandwich(step_index, state.f, lower, upper)
 
     state = init.state.copy()
+    check_step(0, state)  # every later state is checked inside `step`
+
+    writer = None
+    snap_dir = None
+    if output_dir is not None:
+        snap_dir = os.path.join(output_dir, "snapshots")
+        os.makedirs(snap_dir, exist_ok=True)
+        reports = [os.path.join(output_dir, f"rate_report.{ext}") for ext in ("txt", "kv")]
+        # a reused directory keeps no earlier run's snapshots or rate report
+        stale = [os.path.join(snap_dir, name) for name in os.listdir(snap_dir)
+                 if name.startswith("state_") and name.endswith(".snap")]
+        for path in stale + reports:
+            if os.path.isfile(path):
+                os.remove(path)
+        with open(os.path.join(snap_dir, "manifest.cfg"), "w", encoding="utf-8") as fh:
+            fh.write(format_config(resolved))
+        writer = CsvWriter(os.path.join(output_dir, "diagnostics.csv"))
+
     records: list[DiagnosticsRecord] = []
     audit = dict(AUDIT_START)
     audited: list[int] = []  # indices of the records folded into `audit`
@@ -377,64 +399,42 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
             if k:
                 state = step(state, plan, check=partial(check_step, k))
             # the last step always records, so an end state is known here
-            recorded = k % config.record_every == 0 or k == n_steps
-            if recorded:
-                record, seen = _diagnose(state, kernel, eq, plan.work)
-                # the run keeps each record's kappa as the next record's warm start
-                state.kappa_cache = seen[2]
-                _check_record(k, record, mass0)
-                if k == 0:
-                    # every later state has passed `check_step` inside `step`
-                    _check_sandwich(k, state.f, lower, upper)
-                records.append(record)
-                if writer is not None:
-                    writer.write(record)
-                if (len(records) - 1) % SNAPSHOT_STRIDE == 0:
-                    if k in (0, n_steps):
-                        audit["samples_skipped"] += 1
-                    else:
-                        audit_proof_chain(audit, state, seen, record, kernel=kernel, eq=eq,
-                                          work=plan.work)
-                        audited.append(len(records) - 1)
-                    if snap_dir is not None:
-                        snapshot_dump(state, os.path.join(snap_dir, f"state_{k:08d}.snap"))
-                del seen  # its projection is state-sized: not resident during the steps
-            if delta is None and k == n_window:
-                window = records
-                if not recorded:  # the window closes off the record grid
-                    window = records + [_diagnose(state, kernel, eq, plan.work)[0]]
-                delta = _resolve_delta(window)
+            if k % config.record_every and k != n_steps:
+                continue
+            record, seen = _diagnose(state, kernel, eq, plan.work)
+            # the run keeps each record's kappa as the next record's warm start
+            state.kappa_cache = seen[2]
+            _check_record(k, record, mass0)
+            records.append(record)
+            if writer is not None:
+                writer.write(record)
+            if (len(records) - 1) % SNAPSHOT_STRIDE == 0:
+                if k in (0, n_steps):
+                    audit["samples_skipped"] += 1
+                else:
+                    audit_proof_chain(audit, state, seen, record, kernel=kernel, eq=eq,
+                                      work=plan.work)
+                    audited.append(len(records) - 1)
                 if snap_dir is not None:
-                    _write_manifest(snap_dir, replace(config, dt=dt, delta=delta))
+                    snapshot_dump(state, os.path.join(snap_dir, f"state_{k:08d}.snap"))
+            del seen  # its projection is state-sized: not resident during the steps
     finally:
         if writer is not None:
             writer.close()
-    resolved = replace(config, dt=dt, delta=delta)
+    delta = _resolve_delta(resolved, records)
+    resolved = replace(resolved, delta=delta)
 
-    report: RateReport | None = None
     try:
         report = estimate_decay_rate(records, delta)
     except FitError:
         report = None
-    if report is not None:
+    else:
         # a fit has FIT_MIN_RECORDS records, so snapshot 10 is interior and audited
         report.lemma_constants = _close_audit(audit, audited, records, delta)
         if output_dir is not None:
-            write_rate_report(
-                report,
-                os.path.join(output_dir, "rate_report.txt"),
-                os.path.join(output_dir, "rate_report.kv"),
-            )
-    return RunResult(
-        records=records,
-        final_state=state,
-        rate_report=report,
-        config=resolved,
-        kernel=kernel,
-        equilibrium=eq,
-        initial=init,
-        output_dir=output_dir,
-    )
+            write_rate_report(report, *reports)
+    return RunResult(records=records, final_state=state, rate_report=report, config=resolved,
+                     kernel=kernel, equilibrium=eq, initial=init, output_dir=output_dir)
 
 
 def estimate_decay_rate(records, delta: float) -> RateReport:

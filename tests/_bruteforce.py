@@ -325,8 +325,9 @@ def pilot_samples(result):
     """The (t, H, pairing, dist_total) arrays of a separate delta pilot pass.
 
     Re-steps the first min(t_final, 5) of a run from its initial
-    state in a loop of its own, sampling on the record grid and at the
-    window's last step; this is the two-pass form of `delta = auto`.
+    state in a loop of its own, sampling on the run's record grid (whose
+    last step is the run's last step); this is the two-pass form of
+    `delta = auto`.
     """
     from fermibolt.evolution import plan_step, step
     from fermibolt.fields import FieldSet, moments, solve_poisson
@@ -349,17 +350,18 @@ def pilot_samples(result):
             weighted_norm(state.f - eq.profile[None, :], vg, sg),
         ))
 
-    n_steps = max(1, math.ceil(min(config.t_final, 5.0) / dt - 1e-12))
+    n_run = max(1, math.ceil(config.t_final / dt - 1e-12))
+    n_window = max(1, math.ceil(min(config.t_final, 5.0) / dt - 1e-12))
     collect(state)
-    for k in range(1, n_steps + 1):
+    for k in range(1, n_window + 1):
         state = step(state, plan)
-        if k % config.record_every == 0 or k == n_steps:
+        if k % config.record_every == 0 or k == n_run:
             collect(state)
     return tuple(np.array(column) for column in zip(*samples))
 
 
 # Public helpers that no run path used, kept here as oracles: the run
-# forms E in `experiment._couple`, and the audit's `c2_max_ratio` is the
+# forms E in `experiment.modified_entropy`, and the audit's `c2_max_ratio` is the
 # probe's ratio over the audited states.
 
 

@@ -21,6 +21,7 @@ from fermibolt.config import (
 )
 from fermibolt.experiment import (
     AUDIT_START,
+    DELTA_WINDOW,
     DIST_EPS,
     SNAPSHOT_STRIDE,
     FitError,
@@ -203,7 +204,8 @@ def test_auto_delta_resolution():
 
 
 # Two auto runs: the delta window closes on the last step (t_final <= 5),
-# and off the record grid, long before the end (t_final > 5).
+# and off the record grid, long before the end (t_final > 5), where the
+# window's records are those on the grid up to that step.
 AUTO_CASES = {"short": (3.0, 10), "long_off_grid": (7.3, 7)}
 
 
@@ -272,14 +274,11 @@ def test_auto_delta_scans_the_two_pass_pilot_samples(auto_run):
 
 
 def test_auto_delta_streams_its_rows(auto_run):
-    # when delta is chosen, the CSV already holds every record made so far
-    config, result, seen = auto_run
-    n_steps = math.ceil(config.t_final / result.config.dt - 1e-12)
-    n_window = math.ceil(min(config.t_final, 5.0) / result.config.dt - 1e-12)
-    made = sum(1 for k in range(n_window + 1) if k % config.record_every == 0 or k == n_steps)
+    # delta is chosen once, after the last step, when the CSV holds every record
+    _, result, seen = auto_run
     rows, warnings = seen["rows_at_resolve"]
-    assert warnings == 0 and made >= 3
-    assert rows == result.records[:made]
+    assert warnings == 0
+    assert rows == result.records
 
 
 def test_auto_delta_artifacts_match_two_pass_run(auto_run, tmp_path):
@@ -291,7 +290,12 @@ def test_auto_delta_artifacts_match_two_pass_run(auto_run, tmp_path):
     assert two_pass.config == result.config
     got, want = _tree_bytes(result.output_dir), _tree_bytes(tmp_path)
     assert sorted(got) == sorted(want)
-    assert "diagnostics.csv" in got and os.path.join("snapshots", "manifest.cfg") in got
+    assert "diagnostics.csv" in got
+    # the auto run's manifest differs from the pinned one in its delta line alone
+    manifest = os.path.join("snapshots", "manifest.cfg")
+    assert want.pop(manifest) == format_config(result.config).encode()
+    assert got.pop(manifest) == format_config(dataclasses.replace(result.config,
+                                                                  delta=None)).encode()
     for name in want:
         assert got[name] == want[name], name
 
@@ -397,7 +401,7 @@ def test_run_builds_the_step_plan_once(splitting, transport_calls, monkeypatch):
     assert calls["plan"] == 1
     assert calls["transport"] == transport_calls * n_steps
     assert calls["collision"] == n_steps
-    # the sandwich is checked after every step and once more on the initial record
+    # the sandwich is checked after every step and once on the initial state
     assert calls["sandwich"] == n_steps + 1
 
 
@@ -483,8 +487,9 @@ def _audit_from_artifacts(out_dir):
     records, warnings = load_csv(os.path.join(out_dir, "diagnostics.csv"))
     assert warnings == 0
     eq = global_equilibrium(records[0].mass, vgrid)
+    # a `delta = auto` manifest gets the run's delta from the same resolver
     return audit_snapshots(records, snapshot_states(out_dir), kernel=kernel, eq=eq,
-                           delta=config.delta)
+                           delta=experiment._resolve_delta(config, records))
 
 
 @pytest.fixture(scope="module")
@@ -562,6 +567,34 @@ def test_audit_c2_is_the_norm_probe_ratio(tiny_run):
 
 
 # --------------------------------------------------------------- artifacts
+
+# (earlier run, later run) into one directory: the later run writes fewer
+# snapshots at other steps, or stops before its decay can be fitted
+REUSED_DIRS = {
+    "snapshots": (dict(t_final=4.0, sigma0=1.0, record_every=5),
+                  dict(t_final=4.0, sigma0=2.0, record_every=10)),
+    "rate-report": (dict(t_final=10.0), dict(t_final=0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REUSED_DIRS))
+def test_a_reused_output_dir_keeps_no_earlier_run_artifacts(tmp_path, case):
+    earlier, later = (ExperimentConfig(nodes_per_axis=16, spatial_cells=16, **keys)
+                      for keys in REUSED_DIRS[case])
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    run_experiment(earlier, output_dir=str(reused))
+    stale = set(_tree_bytes(reused))
+    # files the run does not name are the user's, and stay
+    for name in ("notes.txt", os.path.join("snapshots", "notes.txt")):
+        (reused / name).write_text("kept\n", encoding="utf-8")
+    run_experiment(later, output_dir=str(reused))
+    run_experiment(later, output_dir=str(fresh))
+    got, want = _tree_bytes(reused), _tree_bytes(fresh)
+    assert stale - set(want)  # the earlier run wrote names the later one does not
+    for name in ("notes.txt", os.path.join("snapshots", "notes.txt")):
+        assert got.pop(name) == b"kept\n"
+    assert got == want
+
 
 def test_run_artifacts_complete(default_run):
     out = default_run.output_dir
@@ -647,17 +680,114 @@ def test_cli_fit_reports_failure(cli_run_dir, tmp_path, capsys):
     assert "fit failed" in capsys.readouterr().err
 
 
+# a `delta = auto` run on 16 cells: dt = 0.015, so its window closes at step
+# 334, 5 steps after its last record on the record grid (step 329)
+AUTO_CLI = ExperimentConfig(nodes_per_axis=16, spatial_cells=16, t_final=7.3, record_every=7,
+                            delta=None)
+
+
+def _stopped_auto_run(out_dir, stop_step):
+    """The artifacts of AUTO_CLI stopped by a mass violation at `stop_step`."""
+    real_collision_step = evolution.collision_step
+    calls = [0]
+
+    def broken(state, *args, **kwargs):
+        out = real_collision_step(state, *args, **kwargs)
+        calls[0] += 1
+        if calls[0] == stop_step:
+            out.f = out.f * (1.0 + 1e-9)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "collision_step", broken)
+        with pytest.raises(InvariantViolation) as err:
+            run_experiment(AUTO_CLI, output_dir=str(out_dir))
+    assert err.value.step_index == stop_step
+
+
+@pytest.fixture(scope="module")
+def auto_cli_runs(tmp_path_factory):
+    """Run directories of AUTO_CLI: whole, and stopped at a few steps."""
+    root = tmp_path_factory.mktemp("auto_cli")
+    whole = run_experiment(AUTO_CLI, output_dir=str(root / "whole"))
+    dirs = {"whole": root / "whole"}
+    for stop in (3, 335, 420):
+        dirs[stop] = root / f"stopped_{stop}"
+        _stopped_auto_run(dirs[stop], stop)
+    return whole, dirs
+
+
+def _resolved_deltas(monkeypatch):
+    """The values `experiment._resolve_delta` returns from now on, in a list."""
+    chosen = []
+    real = experiment._resolve_delta
+
+    def recorded(*args):
+        chosen.append(real(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(experiment, "_resolve_delta", recorded)
+    return chosen
+
+
 @pytest.mark.parametrize("command", ["fit", "audit"])
-def test_cli_refuses_a_manifest_without_delta(cli_run_dir, tmp_path, capsys, command):
-    # E needs delta, so a run stopped before `delta = auto` was chosen has no E
+def test_cli_resolves_an_auto_manifest_as_the_run_did(auto_cli_runs, tmp_path, capsys,
+                                                      monkeypatch, command):
+    whole, dirs = auto_cli_runs
+    run_dir = dirs["whole"]
+    assert load_config(str(run_dir / "snapshots" / "manifest.cfg")).delta is None
+    # the same artifacts with the chosen delta pinned in the manifest
+    pinned = tmp_path / "snapshots"
+    shutil.copytree(run_dir / "snapshots", pinned)
+    (pinned / "manifest.cfg").write_text(format_config(whole.config), encoding="utf-8")
+    csv = str(run_dir / "diagnostics.csv")
+    assert cli.main([command, csv, str(pinned)]) == 0
+    want = capsys.readouterr()
+    chosen = _resolved_deltas(monkeypatch)
+    assert cli.main([command, csv, str(run_dir / "snapshots")]) == 0
+    assert chosen == [whole.config.delta]
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("command", ["fit", "audit"])
+@pytest.mark.parametrize("stop", [335, 420])
+def test_cli_on_a_run_stopped_after_the_delta_window_uses_its_delta(
+        auto_cli_runs, capsys, monkeypatch, command, stop):
+    whole, dirs = auto_cli_runs
+    assert stop > math.ceil(DELTA_WINDOW / whole.config.dt - 1e-12)
+    chosen = _resolved_deltas(monkeypatch)
+    run_dir = dirs[stop]
+    assert cli.main([command, str(run_dir / "diagnostics.csv"), str(run_dir / "snapshots")]) == 0
+    assert chosen == [whole.config.delta]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["fit", "audit"])
+def test_cli_on_a_run_stopped_inside_the_delta_window_fails_in_one_line(
+        auto_cli_runs, capsys, command):
+    _, dirs = auto_cli_runs
+    assert cli.main([command, str(dirs[3] / "diagnostics.csv"), str(dirs[3] / "snapshots")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{command} failed: the records stop before step 329, the delta window's last record, "
+        f"so delta = auto cannot be chosen"
+    ]
+
+
+@pytest.mark.parametrize("command", ["fit", "audit"])
+def test_cli_refuses_an_auto_manifest_without_a_numeric_dt(cli_run_dir, tmp_path, capsys,
+                                                           command):
+    # every run writes its dt; without one the delta window has no steps
     manifest = (cli_run_dir / "snapshots" / "manifest.cfg").read_text(encoding="utf-8")
-    kept = [ln for ln in manifest.splitlines() if not ln.startswith("delta ")]
-    (tmp_path / "manifest.cfg").write_text("\n".join(kept + ["delta = auto"]) + "\n",
+    kept = [ln for ln in manifest.splitlines() if not ln.startswith(("dt ", "delta "))]
+    (tmp_path / "manifest.cfg").write_text("\n".join(kept + ["dt = auto", "delta = auto"]) + "\n",
                                            encoding="utf-8")
     assert cli.main([command, str(cli_run_dir / "diagnostics.csv"), str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"{command} failed: manifest does not pin delta"]
+    assert captured.err.splitlines() == [
+        f"{command} failed: delta = auto needs a numeric dt to find its window"]
 
 
 # the 13-column header of a CSV written while rows still stored E, ratio_c1

@@ -1,7 +1,8 @@
 """Source hygiene: no unused import, no unused function parameter and no
-export without a caller in src/, every attribute the benchmark's tracer
-wraps still exists, every CLI subcommand names its handler, and README's
-diagnostics columns, config table and memory budgets match the code.
+export without a caller in src/, one resolver for `delta = auto` and one
+manifest write site, every attribute the benchmark's tracer wraps still
+exists, every CLI subcommand names its handler, and README's diagnostics
+columns, config table and memory budgets match the code.
 
 An AST scan of every module of the package. A name counts as used when
 it is loaded anywhere in its module (annotations included) or listed in
@@ -131,6 +132,45 @@ def exports_without_caller():
 
 def test_every_export_has_a_caller():
     assert exports_without_caller() == []
+
+
+def _sites(accept):
+    """(module file, top-level function, inside a loop) of each node of src/ `accept` takes."""
+    found = []
+    for path in MODULES:
+        for function in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            looped = {id(node) for loop in ast.walk(function)
+                      if isinstance(loop, (ast.For, ast.While)) for node in ast.walk(loop)}
+            found += [(path.name, function.name, id(node) in looped)
+                      for node in ast.walk(function) if accept(node)]
+    return found
+
+
+def _calls(node, name):
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None))
+
+
+def _mentions(node, text):
+    return any(isinstance(sub, ast.Constant) and sub.value == text for sub in ast.walk(node))
+
+
+def test_delta_auto_is_chosen_in_one_resolver():
+    # `fermibolt run`, `fit` and `audit` all reach `choose_delta` through it
+    assert _sites(lambda node: _calls(node, "choose_delta")) == [
+        ("experiment.py", "_resolve_delta", False)]
+    assert sorted(_sites(lambda node: _calls(node, "_resolve_delta"))) == [
+        ("cli.py", "_load_run", False), ("experiment.py", "run_experiment", False)]
+
+
+def test_the_manifest_has_one_write_site_outside_the_loop():
+    assert _sites(lambda node: _calls(node, "open") and _mentions(node.args[0], "manifest.cfg")) \
+        == [("experiment.py", "run_experiment", False)]
+    # its one other mention is the path that `fit` and `audit` load
+    assert _sites(lambda node: isinstance(node, ast.Constant) and node.value == "manifest.cfg") \
+        == [("cli.py", "_load_run", False), ("experiment.py", "run_experiment", False)]
 
 
 def traced_attributes():

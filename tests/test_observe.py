@@ -165,15 +165,15 @@ def test_traced_layers_see_every_record_once(delta, monkeypatch):
     for name in TRACED:
         monkeypatch.setattr(experiment, name, counted(name, getattr(experiment, name)))
     monkeypatch.setattr(experiment, "audit_proof_chain", audit)
-    # on 8 cells the delta window closes at step 312, 4 steps off the record grid
+    # on 8 cells the delta window closes at step 156, 2 steps off the record
+    # grid; an auto run chooses delta from its records and observes nothing more
     config = ExperimentConfig(nodes_per_axis=8, spatial_cells=8, t_final=5.5,
                               record_every=7, delta=delta)
     result = run_experiment(config)
     assert result.rate_report.lemma_constants
     n_records = len(result.records)
-    n_diagnosed = n_records + (delta is None)  # plus the off-grid window sample
     # the initial mass is an `integrate` of the density alone, not a `moments` call
-    want = {name: per * n_diagnosed for name, per in PER_RECORD.items()}
+    want = {name: per * n_records for name, per in PER_RECORD.items()}
     assert {name: c[0] for name, c in calls.items()} == want
 
     # one fold per interior snapshot record, made from that record's observation
@@ -247,6 +247,11 @@ for name, line in NON_FINITE.items():
 BAD_CONFIGS["negative-seed"] = ("nodes_per_axis = 8\nspatial_cells = 8\n"
                                 "perturbation = 0.001\nseed = -5",
                                 "seed must be nonnegative, got -5")
+# a valid config whose upper barrier rounds to 1 on 16 nodes: it once
+# wrote the manifest and the CSV header, then ended in a traceback
+BAD_CONFIGS["saturated-barriers"] = ("nodes_per_axis = 16\nspatial_cells = 16\nkappa_bar = 1e17",
+                                     "kappa_bar = 1e+17 with amplitude = 0.5: the barrier "
+                                     "profiles span [0.9999178483001944, 1.0], not inside (0, 1)")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
@@ -481,9 +486,10 @@ RUN_PEAK_SLACK = 256 * 2**10
 def test_run_peak_stays_within_the_resident_states(tmp_path):
     # d_v = 2, 32^2 nodes over 16 cells, where states dominate: muscl2, the
     # Gaussian kernel's 2-d scatter, `delta = auto` closing its window off
-    # the record grid, and 24 records, so two audit folds and three
-    # snapshots. When the record pass and the audit fold allocated their own
-    # temporaries the peak was 21.2 x f.nbytes.
+    # the record grid (where the run once observed one more state), and 24
+    # records, so two audit folds and three snapshots. When the record pass
+    # and the audit fold allocated their own temporaries the peak was
+    # 21.2 x f.nbytes.
     config = ExperimentConfig(d_v=2, nodes_per_axis=32, half_width=4.0, spatial_cells=16,
                               kernel="gaussian_bump", transport="muscl2", t_final=5.1,
                               record_every=25, delta=None, perturbation=1e-3, seed=3)
