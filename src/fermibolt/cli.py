@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     from .config import ConfigError, load_config
-    from .experiment import modified_entropy, run_experiment
+    from .experiment import InvariantViolation, modified_entropy, run_experiment
 
     gc.freeze()  # the import-time objects live to exit; spare them every collection pass
     try:
@@ -95,6 +95,10 @@ def _cmd_run(args) -> int:
         # step-size limit
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        # the manifest, the rows and the snapshots made so far stay on disk
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
     last = result.records[-1]
     last_e = modified_entropy([last], result.config.delta)[0]
     print(f"steps completed: t = {last.t:.6g} with {len(result.records)} records")

@@ -46,7 +46,7 @@ nothing a step leaves in them is read again.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,10 +79,6 @@ class PhaseState:
     vgrid: VelocityGrid
     sgrid: SpatialGrid
     kappa_cache: np.ndarray | None = None
-
-    def copy(self) -> "PhaseState":
-        cache = None if self.kappa_cache is None else self.kappa_cache.copy()
-        return replace(self, f=self.f.copy(), kappa_cache=cache)
 
 
 @dataclass(frozen=True)
@@ -152,9 +148,8 @@ class StepPlan:
     kernel: CollisionKernel
     dt: float
     splitting: str
-    transport_dt: float        # dt / 2 under Strang, dt under Lie
     # the next three are (cells, nodes) tiles of one per-node row
-    mu: np.ndarray             # Courant number |v1| transport_dt / dx
+    mu: np.ndarray             # Courant number |v1| h / dx, h = dt / 2 (Strang) or dt (Lie)
     muscl: np.ndarray | None   # -+0.5 mu (1 - mu) by half; None for upwind1
     maxwellian: np.ndarray     # the lattice Maxwellian M
     work: tuple[np.ndarray, ...]  # four (cells, nodes) scratch rows, also lent to the records
@@ -183,8 +178,7 @@ def plan_step(kernel: CollisionKernel, vgrid: VelocityGrid, sgrid: SpatialGrid,
     if dt is None:
         vmax = float(np.max(np.abs(vgrid.first_axis)))
         dt = config.cfl_safety * min(limit * sgrid.spacing / vmax / fraction, ceiling)
-    transport_dt = fraction * dt
-    lam = vgrid.first_axis * (transport_dt / sgrid.spacing)
+    lam = vgrid.first_axis * (fraction * dt / sgrid.spacing)
     courant = float(np.max(np.abs(lam)))
     largest = f"the largest admissible dt is {min(dt * limit / courant, ceiling):.6g}"
     if courant > limit * (1.0 + 1e-12):
@@ -205,7 +199,7 @@ def plan_step(kernel: CollisionKernel, vgrid: VelocityGrid, sgrid: SpatialGrid,
         muscl[: vgrid.n_nodes // 2] *= -1.0
         muscl = np.tile(muscl, cells)
     work = tuple(np.empty((4, sgrid.cells, vgrid.n_nodes)))
-    return StepPlan(kernel, dt, config.splitting, transport_dt, np.tile(mu, cells),
+    return StepPlan(kernel, dt, config.splitting, np.tile(mu, cells),
                     muscl, np.tile(vgrid.maxwellian, cells), work)
 
 
@@ -270,18 +264,16 @@ def _sub_step(f: np.ndarray, plan: StepPlan,
 
 
 def transport_step(state: PhaseState, plan: StepPlan) -> PhaseState:
-    """Advect every velocity node around the torus for plan.transport_dt.
+    """Advect every velocity node around the torus for dt / 2 (Strang) or dt (Lie).
 
     Lie takes the plain monotone update; Strang wraps it in a Heun pair
     (a convex combination of two such updates), which keeps every bound
     the monotone update guarantees while gaining an order of accuracy in
-    dt for the symmetric splitting.
+    dt for the symmetric splitting. The result keeps the input's time:
+    `step` advances it.
     """
     f_new = _sub_step(state.f, plan, lambda g, out: _advect_once(g, plan, out))
-    return PhaseState(
-        f_new, state.time + plan.transport_dt, state.vgrid, state.sgrid,
-        state.kappa_cache,
-    )
+    return PhaseState(f_new, state.time, state.vgrid, state.sgrid, state.kappa_cache)
 
 
 def collision_step(state: PhaseState, plan: StepPlan) -> PhaseState:
@@ -289,7 +281,8 @@ def collision_step(state: PhaseState, plan: StepPlan) -> PhaseState:
 
     Heun is the midpoint-free convex combination of two Euler stages, so
     it inherits the Euler bound preservation while restoring second
-    order inside the symmetric splitting.
+    order inside the symmetric splitting. The result keeps the input's
+    time: `step` advances it.
     """
     dt, kernel, vgrid = plan.dt, plan.kernel, state.vgrid
 
@@ -307,16 +300,15 @@ def collision_step(state: PhaseState, plan: StepPlan) -> PhaseState:
             f"collision step left [0, 1] (range [{fmin:g}, {fmax:g}]); "
             "the step-size logic is broken"
         )
-    return PhaseState(
-        f_new, state.time + dt, state.vgrid, state.sgrid, state.kappa_cache
-    )
+    return PhaseState(f_new, state.time, state.vgrid, state.sgrid, state.kappa_cache)
 
 
 def step(state: PhaseState, plan: StepPlan,
          check: Callable[[PhaseState], None] | None = None) -> PhaseState:
     """One splitting step of size plan.dt.
 
-    Transport, then collision, then under Strang a second transport.
+    Transport, then collision, then under Strang a second transport; the
+    sub-steps keep the time, and the new state's is state.time + plan.dt.
     `check`, when given, is called on the new state before it is
     returned; it raises to abort the run at this step.
     """

@@ -31,13 +31,7 @@ import numpy as np
 from .collision import TABLE_BUDGET_BYTES, CollisionKernel, apply_collision, build_kernel
 from .config import DELTA_CANDIDATES, ConfigError, ExperimentConfig, format_config
 from .equilibrium import EquilibriumProfile, global_equilibrium, project
-from .evolution import (
-    InitialData,
-    PhaseState,
-    initial_state,
-    plan_step,
-    step,
-)
+from .evolution import PhaseState, initial_state, plan_step, step
 from .fields import (
     FieldSet,
     SpatialGrid,
@@ -77,14 +71,15 @@ __all__ = [
 
 SNAPSHOT_STRIDE = 10          # full state every this many records
 # Largest total of the (cells, nodes) float64 arrays alive at once in a
-# run, at its peak: the initial and current states and a step's two fresh
-# sub-step results, the plan's four workspace rows and its mu, muscl and
-# Maxwellian tiles, and the two barrier tiles of the per-step check.
-# Between steps the record pass and the audit fold work in the plan's
-# rows and hold at most two fresh arrays, the projection and one more, in
-# the slots of the step's results.
+# run, at its peak: the current state and a step's two fresh sub-step
+# results, the plan's four workspace rows and its mu, muscl and Maxwellian
+# tiles, and the two barrier tiles of the per-step check. The initial
+# state is the first current state, not a copy. Between steps the record
+# pass and the audit fold work in the plan's rows and hold at most two
+# fresh arrays, the projection and one more, in the slots of the step's
+# results.
 STATE_BUDGET_BYTES = 512 * 2**20
-RESIDENT_STATES = 13
+RESIDENT_STATES = 12
 DELTA_WINDOW = 5.0            # time span whose records choose delta = auto
 MASS_DRIFT_TOL = 1e-12        # relative, abort threshold
 DISSIPATION_FLOOR = -1e-12    # abort if D drops below
@@ -132,7 +127,6 @@ class RunResult:
     config: ExperimentConfig
     kernel: CollisionKernel
     equilibrium: EquilibriumProfile
-    initial: InitialData
     output_dir: str | None = None
 
 
@@ -148,9 +142,9 @@ def observe(f: np.ndarray, eq: EquilibriumProfile, warm: np.ndarray | None,
     the one new array of that shape.
     """
     rho, j = moments(f, vgrid, work)
-    phi, grad_phi = solve_poisson(rho, eq.density, sgrid)
+    _, grad_phi = solve_poisson(rho, eq.density, sgrid)
     proj, kappa = project(f, vgrid, kappa_cache=warm, rho=rho, work=work)
-    return FieldSet(rho, j, phi, grad_phi), proj, kappa
+    return FieldSet(rho, j, grad_phi), proj, kappa
 
 
 def _diagnose(
@@ -221,11 +215,10 @@ def choose_delta(
     entropy: np.ndarray,
     pairing: np.ndarray,
     dist_total: np.ndarray,
-    candidates=DELTA_CANDIDATES,
 ) -> float:
     """Pick delta, the corrector's weight, from samples of the run's first time units.
 
-    Among the candidate values for which the modified entropy stays
+    Among the DELTA_CANDIDATES values for which the modified entropy stays
     equivalent to the squared distance (positive ratio throughout), take
     the one with the best worst-case decay ratio; ties go to the larger
     weight.
@@ -235,7 +228,7 @@ def choose_delta(
         raise ConfigError("delta window too short to scan delta")
     best = None
     best_score = -np.inf
-    for cand in sorted(candidates, reverse=True):
+    for cand in sorted(DELTA_CANDIDATES, reverse=True):
         lyap = entropy + cand * pairing
         ratios = lyap[usable] / dist_total[usable] ** 2
         if np.min(ratios) <= 0.0:
@@ -338,17 +331,18 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     both text and key = value form.
 
     The initial state is checked as every step's result is, before the
-    first record. Each interior snapshot record is folded into the audit
-    as it is made, and its index is kept for `_close_audit`. Records, the
-    audit folds and the initial mass work in the step plan's workspace
-    rows, so the run's state-sized arrays never exceed the RESIDENT_STATES
-    that `_check_budgets` admitted. delta is resolved once, after the last
+    first record, and stepped from without a copy. Each interior snapshot
+    record is folded into the audit as it is made, and its index is kept
+    for `_close_audit`. Records, the audit folds and the initial mass work
+    in the step plan's workspace rows, so the run's state-sized arrays
+    never exceed the RESIDENT_STATES that `_check_budgets` admitted. delta is resolved once, after the last
     step, by `_resolve_delta`, which `fermibolt fit` and `audit` also call.
     """
     config.validate()
     vgrid, sgrid, kernel = build_lattice(config)
     init = initial_state(sgrid, vgrid, config.kappa_bar, config.amplitude,
                          perturbation=config.perturbation, seed=config.seed)
+    state = init.state  # stepped from as it is, not copied
     # the entropy takes logs of f and 1 - f: a barrier that rounds to 0 or 1 cannot run
     low, high = float(np.min(init.f_lower)), float(np.max(init.f_upper))
     if not (low > 0.0 and high < 1.0):
@@ -357,12 +351,13 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
                           f"[{low!r}, {high!r}], not inside (0, 1)")
     # the barriers as tiles of the state's shape, for the per-step check
     lower, upper = (np.tile(row, (sgrid.cells, 1)) for row in (init.f_lower, init.f_upper))
+    del init  # nothing may hold the initial state once step 1 has replaced it
     # resolves `dt = auto`, and refuses a pinned dt over the Courant limit
     # or the collision ceiling before any output is written
     plan = plan_step(kernel, vgrid, sgrid, config)
     resolved = replace(config, dt=plan.dt)
 
-    mass0 = float(np.sum(integrate(init.state.f, vgrid, plan.work))) * sgrid.spacing
+    mass0 = float(np.sum(integrate(state.f, vgrid, plan.work))) * sgrid.spacing
     eq = global_equilibrium(mass0, vgrid)
     n_steps = max(1, math.ceil(config.t_final / plan.dt - 1e-12))
 
@@ -372,7 +367,6 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
         _check_mass(step_index, float(np.add.reduce(totals)) * sgrid.spacing, mass0)
         _check_sandwich(step_index, state.f, lower, upper)
 
-    state = init.state.copy()
     check_step(0, state)  # every later state is checked inside `step`
 
     writer = None
@@ -434,7 +428,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
         if output_dir is not None:
             write_rate_report(report, *reports)
     return RunResult(records=records, final_state=state, rate_report=report, config=resolved,
-                     kernel=kernel, equilibrium=eq, initial=init, output_dir=output_dir)
+                     kernel=kernel, equilibrium=eq, output_dir=output_dir)
 
 
 def estimate_decay_rate(records, delta: float) -> RateReport:
@@ -546,8 +540,8 @@ def audit_proof_chain(out: dict, state: PhaseState, seen: tuple, record: Diagnos
     # current. d rho / dt = -d j1 / dx is the semi-discrete continuity law;
     # the current of a projected state vanishes exactly on the mirror
     # lattice, so this rate sees only the fluctuation part of f.
-    _, dgrad_dt = solve_poisson(-centered_gradient(fields.j[:, 0], sg), 0.0, sg)
-    s1 = float(np.sum(dgrad_dt * fields.j[:, 0])) * sg.spacing
+    _, dgrad_dt = solve_poisson(-centered_gradient(fields.j, sg), 0.0, sg)
+    s1 = float(np.sum(dgrad_dt * fields.j)) * sg.spacing
     out["step1_excess_max"] = max(out["step1_excess_max"], s1 - vg.dim * dl**2)
 
     # hydrodynamic coercivity and the two cross terms

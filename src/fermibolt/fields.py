@@ -5,6 +5,10 @@ Space is the unit torus split into equal cells. The potential solves
 zero-mean gauge; the gradient uses the centered 2-point stencil so that
 summation by parts holds exactly on the periodic grid. The solve is a
 Fourier one with the zero mode pinned to zero.
+
+Space has one axis, along the first velocity component v1, so the one
+current that transport carries and the field pairs with is that of v1:
+`moments` returns it alone, beside the density.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .velocity import VelocityGrid, integrate, mirror_fold, scratch
+from .velocity import VelocityGrid, integrate
 
 __all__ = [
     "SpatialGrid",
@@ -45,33 +49,22 @@ def build_spatial_grid(cells: int) -> SpatialGrid:
 
 @dataclass(frozen=True)
 class FieldSet:
-    """Density, current, potential, and potential gradient per cell."""
+    """Density, current along v1, and potential gradient per cell."""
 
     rho: np.ndarray       # (cells,)
-    j: np.ndarray         # (cells, d_v)
-    phi: np.ndarray       # (cells,), zero mean
+    j: np.ndarray         # (cells,), the first velocity component's current
     grad_phi: np.ndarray  # (cells,)
 
 
 def moments(f: np.ndarray, vgrid: VelocityGrid, work=None) -> tuple[np.ndarray, np.ndarray]:
-    """Density and current per spatial cell.
+    """Density and current along v1 per spatial cell: two `integrate` calls.
 
-    `work` is as for `integrate`: its first two arrays hold the
-    quadrature terms and their folded pairs; None allocates them.
+    `work` is as for `integrate`; its first array also holds f v1. None
+    allocates.
     """
-    f = np.asarray(f)
-    terms, spare = (np.empty(f.shape), None) if work is None else work[:2]
-    rho = integrate(f, vgrid, (terms, spare))
-    # one reduction over (cells, d_v, half), the shape that one `integrate`
-    # of the (cells, d_v, nodes) product reduces; its terms are formed one
-    # component at a time, each bitwise what the whole product would hold
-    dim, half = vgrid.dim, vgrid.n_nodes // 2
-    folded = scratch(spare, f.shape[:-1] + (dim, half))
-    for d, axis in enumerate(np.ascontiguousarray(vgrid.nodes.T)):
-        np.multiply(f, axis, out=terms)
-        terms *= vgrid.weight
-        mirror_fold(terms, folded[..., d, :])
-    return rho, np.add.reduce(folded, axis=-1)
+    rho = integrate(f, vgrid, work)
+    flux = np.multiply(f, vgrid.first_axis, out=None if work is None else work[0])
+    return rho, integrate(flux, vgrid, work)
 
 
 def centered_gradient(u: np.ndarray, sgrid: SpatialGrid,

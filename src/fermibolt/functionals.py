@@ -138,8 +138,8 @@ def dissipation(
 
 
 def field_current_pairing(fields: FieldSet, sgrid: SpatialGrid) -> float:
-    """sum_x grad_phi . j dx (first current component drives 1-d space)."""
-    return float(np.add.reduce(fields.grad_phi * fields.j[:, 0]) * sgrid.spacing)
+    """sum_x grad_phi j dx, with j the current along v1, the axis of space."""
+    return float(np.add.reduce(fields.grad_phi * fields.j) * sgrid.spacing)
 
 
 @dataclass(frozen=True)

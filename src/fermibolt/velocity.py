@@ -17,7 +17,6 @@ of the node row against a stack of cells.
 `integrate` takes `work=`, C-contiguous float arrays of the values'
 shape, as the other functions of a run's record pass do: the run lends
 them its step workspace, so a quadrature allocates only its result.
-`scratch` carves an array of a smaller shape from the front of one.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["VelocityGrid", "build_velocity_grid", "integrate", "mirror_fold", "scratch"]
+__all__ = ["VelocityGrid", "build_velocity_grid", "integrate"]
 
 GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -98,17 +97,6 @@ def build_velocity_grid(dim: int, half_width: float, nodes_per_axis: int) -> Vel
     )
 
 
-def scratch(buffer: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
-    """The front of a C-contiguous float `buffer` as a C-contiguous array of `shape`.
-
-    A new array when `buffer` is None. The view shares `buffer`'s memory,
-    so what is written to it overwrites the buffer.
-    """
-    if buffer is None:
-        return np.empty(shape)
-    return buffer.reshape(-1, copy=False)[: math.prod(shape)].reshape(shape)
-
-
 def mirror_fold(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """terms[..., i] + terms[..., n-1-i] for the first half of the node axis, into `out`.
 
@@ -132,8 +120,8 @@ def integrate(values: np.ndarray, grid: VelocityGrid,
 
     `work`, when given, is a sequence of C-contiguous float arrays of
     values' shape: the weighted terms go to the first, the folded pairs to
-    the front of the second. The first may be `values` itself. The float
-    operations are the same either way.
+    the first half of the second's node axis. The first may be `values`
+    itself. The float operations are the same either way.
     """
     values = np.asarray(values)
     if values.shape[-1] != grid.n_nodes:
@@ -142,6 +130,6 @@ def integrate(values: np.ndarray, grid: VelocityGrid,
         )
     terms, spare = (None, None) if work is None else work[:2]
     terms = np.multiply(values, grid.weight, out=terms)
-    folded = mirror_fold(terms, scratch(spare, values.shape[:-1] + (grid.n_nodes // 2,)))
+    folded = mirror_fold(terms, None if spare is None else spare[..., : grid.n_nodes // 2])
     out = np.add.reduce(folded, axis=-1)
     return float(out) if out.ndim == 0 else out

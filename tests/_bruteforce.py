@@ -321,6 +321,15 @@ def seed_step(f, kernel, vgrid, sgrid, dt, transport_order, splitting):
     return roll_transport(f, lam, transport_order, 2)
 
 
+def run_initial(result):
+    """The InitialData of a finished run, rebuilt from its config: the run's bits."""
+    from fermibolt.evolution import initial_state
+
+    config, final = result.config, result.final_state
+    return initial_state(final.sgrid, final.vgrid, config.kappa_bar, config.amplitude,
+                         perturbation=config.perturbation, seed=config.seed)
+
+
 def pilot_samples(result):
     """The (t, H, pairing, dist_total) arrays of a separate delta pilot pass.
 
@@ -334,15 +343,15 @@ def pilot_samples(result):
     from fermibolt.functionals import field_current_pairing, relative_entropy, weighted_norm
 
     config, eq, dt = result.config, result.equilibrium, result.config.dt
-    state = result.initial.state.copy()
+    state = run_initial(result).state
     vg, sg = state.vgrid, state.sgrid
     plan = plan_step(result.kernel, vg, sg, config)  # config.dt is the run's dt
     samples = []
 
     def collect(state):
         rho, j = moments(state.f, vg)
-        phi, grad_phi = solve_poisson(rho, eq.density, sg)
-        fields = FieldSet(rho=rho, j=j, phi=phi, grad_phi=grad_phi)
+        _, grad_phi = solve_poisson(rho, eq.density, sg)
+        fields = FieldSet(rho=rho, j=j, grad_phi=grad_phi)
         samples.append((
             state.time,
             relative_entropy(state.f, eq.profile, vg, sg),
@@ -549,7 +558,7 @@ def seed_records(result):
     from fermibolt.evolution import plan_step, step
 
     config, dt = result.config, result.config.dt
-    state = result.initial.state.copy()
+    state = run_initial(result).state
     plan = plan_step(result.kernel, state.vgrid, state.sgrid, config)
     records, kappas = [], []
 

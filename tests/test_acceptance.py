@@ -45,7 +45,7 @@ def test_criterion_02_bound_preservation(default_run):
     # the default trajectory: the final state must still sit inside the
     # Fermi-Dirac barriers of its initial data (every recorded step was
     # checked exactly during the run, or it would have aborted)
-    init = default_run.initial
+    init = bf.run_initial(default_run)
     f = default_run.final_state.f
     violations = int(np.sum(f < 0.0) + np.sum(f > 1.0))
     violations += int(np.sum(f < init.f_lower[None, :]))
@@ -233,8 +233,8 @@ def test_criterion_08_bruteforce_equivalence(tiny_run):
 
         # E is derived from the record's H and pairing wherever it is read
         rho_bf, j_bf = bf.bf_moments(f, vg)
-        phi_bf, grad_bf = bf.bf_poisson(rho_bf - eq.density, sg)
-        fields_bf = FieldSet(rho=rho_bf, j=j_bf, phi=phi_bf, grad_phi=grad_bf)
+        _, grad_bf = bf.bf_poisson(rho_bf - eq.density, sg)
+        fields_bf = FieldSet(rho=rho_bf, j=j_bf[:, 0], grad_phi=grad_bf)
         e_bf = bf.lyapunov_functional(f, eq.profile, fields_bf, delta, vg, sg)
         worst = max(worst, rel(modified_entropy([rec], delta)[0], e_bf))
 

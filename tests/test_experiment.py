@@ -300,8 +300,8 @@ def test_auto_delta_artifacts_match_two_pass_run(auto_run, tmp_path):
         assert got[name] == want[name], name
 
 
-@pytest.mark.parametrize("quantity", ["mass", "sandwich"])
-def test_violation_between_records_aborts_at_its_step(quantity, monkeypatch, tmp_path):
+def _break_third_collision_step(monkeypatch, quantity):
+    """Make the third collision sub-step, in step 3, break the `quantity` invariant."""
     real_collision_step = evolution.collision_step
     calls = [0]
 
@@ -320,6 +320,11 @@ def test_violation_between_records_aborts_at_its_step(quantity, monkeypatch, tmp
         return out
 
     monkeypatch.setattr(evolution, "collision_step", broken)
+
+
+@pytest.mark.parametrize("quantity", ["mass", "sandwich"])
+def test_violation_between_records_aborts_at_its_step(quantity, monkeypatch, tmp_path):
+    _break_third_collision_step(monkeypatch, quantity)
     config = ExperimentConfig(
         nodes_per_axis=16, spatial_cells=16, t_final=1.0, record_every=10, delta=None
     )
@@ -332,6 +337,24 @@ def test_violation_between_records_aborts_at_its_step(quantity, monkeypatch, tmp
     assert load_config(str(tmp_path / "snapshots" / "manifest.cfg")).delta is None
     assert (tmp_path / "snapshots" / "state_00000000.snap").exists()
     records, warnings = load_csv(str(tmp_path / "diagnostics.csv"))
+    assert warnings == 0 and [r.t for r in records] == [0.0]
+
+
+def test_cli_run_reports_an_invariant_violation_in_one_line(monkeypatch, tmp_path, capsys):
+    _break_third_collision_step(monkeypatch, "mass")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nodes_per_axis = 16\nspatial_cells = 16\nt_final = 1.0\n"
+                   "record_every = 10\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("run failed: step 3: mass invariant failed (drift ")
+    # the manifest, the row and the snapshot made before step 3; no rate report
+    assert sorted(path.name for path in out.rglob("*")) == [
+        "diagnostics.csv", "manifest.cfg", "snapshots", "state_00000000.snap"]
+    records, warnings = load_csv(str(out / "diagnostics.csv"))
     assert warnings == 0 and [r.t for r in records] == [0.0]
 
 
@@ -436,7 +459,7 @@ def test_fixed_point_is_stationary(fixed_point_run):
     n_steps = math.ceil(res.config.t_final / res.config.dt - 1e-12)
     assert n_steps >= 1000
     assert max(r.dist_total for r in res.records) <= 1e-12
-    assert np.array_equal(res.final_state.f, res.initial.state.f)
+    assert np.array_equal(res.final_state.f, bf.run_initial(res).state.f)
     mass0 = res.records[0].mass
     assert max(abs(r.mass - mass0) for r in res.records) == 0.0
     # no decay window on a flat trajectory, so no fitted rate

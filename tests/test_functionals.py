@@ -167,9 +167,7 @@ def test_dissipation_matches_pairwise_near_equilibrium(oracle_case):
 
 def test_pairing_zero_for_zero_current(sgrid):
     rho = np.full(64, 0.5)
-    fields = FieldSet(
-        rho=rho, j=np.zeros((64, 1)), phi=np.zeros(64), grad_phi=np.zeros(64)
-    )
+    fields = FieldSet(rho=rho, j=np.zeros(64), grad_phi=np.zeros(64))
     assert field_current_pairing(fields, sgrid) == 0.0
 
 
@@ -177,16 +175,16 @@ def test_pairing_analytic_examples():
     sg = build_spatial_grid(256)
     x = sg.centers
     rho_dev = np.cos(2.0 * np.pi * x)
-    phi, grad = solve_poisson(rho_dev, 0.0, sg)
+    _, grad = solve_poisson(rho_dev, 0.0, sg)
     # field energy of the cosine mode
     energy = float(np.sum(grad**2)) * sg.spacing
     assert math.isclose(energy, 1.0 / (8.0 * np.pi**2), rel_tol=1e-3)
     # a current proportional to the density wave pairs to zero: grad phi
     # is a sine, and the product integrates out
-    fields = FieldSet(rho=rho_dev, j=rho_dev[:, None], phi=phi, grad_phi=grad)
+    fields = FieldSet(rho=rho_dev, j=rho_dev, grad_phi=grad)
     assert abs(field_current_pairing(fields, sg)) <= 1e-12
     # a current aligned with the field reproduces the field energy
-    fields2 = FieldSet(rho=rho_dev, j=grad[:, None], phi=phi, grad_phi=grad)
+    fields2 = FieldSet(rho=rho_dev, j=grad, grad_phi=grad)
     assert math.isclose(
         field_current_pairing(fields2, sg), 1.0 / (8.0 * np.pi**2), rel_tol=1e-3
     )
@@ -196,7 +194,7 @@ def test_pairing_matches_bruteforce(sgrid):
     rng = np.random.default_rng(71)
     grad = rng.standard_normal(64)
     j1 = rng.standard_normal(64)
-    fields = FieldSet(rho=np.zeros(64), j=j1[:, None], phi=np.zeros(64), grad_phi=grad)
+    fields = FieldSet(rho=np.zeros(64), j=j1, grad_phi=grad)
     assert math.isclose(
         field_current_pairing(fields, sgrid),
         bf.bf_pairing(grad, j1, sgrid),
@@ -211,8 +209,8 @@ def test_lyapunov_reduces_to_entropy(vgrid, sgrid):
     # the reference equilibrium must carry the same total mass, else the
     # Poisson source is not neutral
     eq = global_equilibrium(float(np.sum(rho)) * sgrid.spacing, vgrid)
-    phi, grad = solve_poisson(rho, eq.density, sgrid)
-    fields = FieldSet(rho=rho, j=j, phi=phi, grad_phi=grad)
+    _, grad = solve_poisson(rho, eq.density, sgrid)
+    fields = FieldSet(rho=rho, j=j, grad_phi=grad)
     h = relative_entropy(f, eq.profile, vgrid, sgrid)
     assert bf.lyapunov_functional(f, eq.profile, fields, 0.0, vgrid, sgrid) == h
     e = bf.lyapunov_functional(f, eq.profile, fields, 0.01, vgrid, sgrid)

@@ -1,14 +1,17 @@
-"""Source hygiene: no unused import, no unused function parameter and no
-export without a caller in src/, one resolver for `delta = auto` and one
-manifest write site, every attribute the benchmark's tracer wraps still
-exists, every CLI subcommand names its handler, and README's diagnostics
-columns, config table and memory budgets match the code.
+"""Source hygiene: no unused import, no unused function parameter, no
+default that no call overrides and no export without a caller in src/,
+one resolver for `delta = auto` and one manifest write site, every
+attribute the benchmark's tracer wraps still exists, every CLI subcommand
+names its handler, and README's diagnostics columns, config table and
+memory budgets match the code.
 
 An AST scan of every module of the package. A name counts as used when
 it is loaded anywhere in its module (annotations included) or listed in
 `__all__`; a parameter counts as used when its function body loads it;
 an exported name has a caller when some statement of src/ other than its
-own definition loads it, by name or as an attribute.
+own definition loads it, by name or as an attribute; a defaulted
+parameter is passed when some call of its function's name in src/ or
+tests/ gives it, by keyword or by position.
 """
 import argparse
 import ast
@@ -26,6 +29,7 @@ from fermibolt.functionals import RECORD_FIELDS
 PACKAGE = pathlib.Path(fermibolt.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 TRACER = ROOT / "perfbench" / "child.py"
 README = ROOT / "README.md"
 # wrapped by the tracer outside HOOKS: the set-up mark and the kernel size
@@ -100,6 +104,58 @@ def test_no_unused_imports():
 
 def test_no_unused_parameters():
     assert [hit for path in MODULES for hit in unused_parameters(path)] == []
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position in a call or None) of each defaulted parameter.
+
+    The position counts a call's own arguments, so a method's skips `self`;
+    a keyword-only parameter has none.
+    """
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        spec = node.args
+        positional = spec.posonlyargs + spec.args
+        skip = int(id(node) in methods)
+        for index in range(len(positional) - len(spec.defaults), len(positional)):
+            yield node.name, positional[index].arg, index - skip
+        for arg, default in zip(spec.kwonlyargs, spec.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _passes(call, parameter, position):
+    """Whether `call` gives `parameter` by keyword or at `position`.
+
+    A splat's length is not known, so the arguments from the first one on
+    give nothing.
+    """
+    if any(keyword.arg == parameter for keyword in call.keywords):
+        return True
+    given = next((i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)),
+                 len(call.args))
+    return position is not None and position < given
+
+
+def defaults_never_passed():
+    calls = {}
+    for path in MODULES + TESTS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return [f"{path.name}: {function}({parameter})" for path in MODULES
+            for function, parameter, position
+            in _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
+            if not any(_passes(call, parameter, position) for call in calls.get(function, ()))]
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no call overrides is a constant in disguise
+    assert defaults_never_passed() == []
 
 
 def _defines(node, name):

@@ -76,9 +76,8 @@ def test_observe_is_pure(observed_run):
     want_proj, want_kappa = bf.seed_project(f, state.vgrid, kappa_cache=warm)
     assert np.array_equal(proj, want_proj) and np.array_equal(kappa, want_kappa)
     rho, j = bf.seed_moments(f, state.vgrid)
-    phi, grad_phi = bf.seed_solve_poisson(rho, eq.density, state.sgrid)
-    for got, want in ((fields.rho, rho), (fields.j, j), (fields.phi, phi),
-                      (fields.grad_phi, grad_phi)):
+    _, grad_phi = bf.seed_solve_poisson(rho, eq.density, state.sgrid)
+    for got, want in ((fields.rho, rho), (fields.j, j[:, 0]), (fields.grad_phi, grad_phi)):
         assert np.array_equal(got, want)
     # a cold start reaches the same density
     _, _, cold = observe(f, eq, None, state.vgrid, state.sgrid)
@@ -284,8 +283,8 @@ def test_cli_run_refuses_a_state_over_the_budget(tmp_path, capsys, monkeypatch):
     # one 1024 x 64 state is 512 KiB; the refusal comes before any of the
     # run's state-sized arrays exists
     monkeypatch.setattr(experiment, "STATE_BUDGET_BYTES", 2**20)
-    message = ("1024 cells x 64 velocity nodes: the run's 13 resident state "
-               "arrays take 6815744 bytes (6.5 MiB), over the 1 MiB budget")
+    message = ("1024 cells x 64 velocity nodes: the run's 12 resident state "
+               "arrays take 6291456 bytes (6 MiB), over the 1 MiB budget")
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -307,14 +306,14 @@ def test_cli_run_refuses_a_state_over_the_budget(tmp_path, capsys, monkeypatch):
 
 # lattices whose refusal once came only after build_lattice, or never
 OVER_BUDGET = {
-    # the 4096 x 4096 Gaussian factor; the 13 states take under 2 MiB
+    # the 4096 x 4096 Gaussian factor; the 12 states take under 2 MiB
     "1d-gaussian_bump-4096": ("kernel = gaussian_bump\nnodes_per_axis = 4096\n"
                               "spatial_cells = 4\n",
                               "gaussian_bump kernel: its 4096 x 4096 table takes "
                               "134217728 bytes (128 MiB), over the 64 MiB budget"),
     "2d-constant-2048sq": ("d_v = 2\nnodes_per_axis = 2048\nspatial_cells = 4\n",
-                           "4 cells x 4194304 velocity nodes: the run's 13 resident "
-                           "state arrays take 1744830464 bytes (1664 MiB), over the "
+                           "4 cells x 4194304 velocity nodes: the run's 12 resident "
+                           "state arrays take 1610612736 bytes (1536 MiB), over the "
                            "512 MiB budget"),
 }
 
@@ -358,8 +357,8 @@ def test_cli_audit_refuses_an_over_budget_lattice_from_the_manifest(tmp_path, ca
 
 
 def test_resident_states_counts_the_plan_layout():
-    # the plan's (cells, nodes) arrays plus the run's own six: the two
-    # barrier tiles, the initial and current state, a step's two fresh results
+    # the plan's (cells, nodes) arrays plus the run's own five: the two
+    # barrier tiles, the current state, a step's two fresh results
     config = ExperimentConfig(nodes_per_axis=16, spatial_cells=8, transport="muscl2")
     vgrid, sgrid, kernel = experiment.build_lattice(config)
     plan = plan_step(kernel, vgrid, sgrid, config)
@@ -367,7 +366,7 @@ def test_resident_states_counts_the_plan_layout():
               for value in (field if isinstance(field, tuple) else (field,))
               if isinstance(value, np.ndarray)]
     assert all(a.shape == (sgrid.cells, vgrid.n_nodes) for a in arrays)
-    assert len(arrays) + 6 == experiment.RESIDENT_STATES
+    assert len(arrays) + 5 == experiment.RESIDENT_STATES
 
 
 def test_cli_run_refuses_an_oversized_kernel_table(tmp_path, capsys):

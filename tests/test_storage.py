@@ -171,11 +171,11 @@ def test_restart_is_bitwise(tmp_path):
     state = PhaseState(f=f.copy(), time=0.0, vgrid=vg, sgrid=sg)
     plan = plan_step(kernel, vg, sg, ExperimentConfig())  # dt = auto
 
-    straight = state.copy()
+    straight = state
     for _ in range(60):
         straight = step(straight, plan)
 
-    first_half = state.copy()
+    first_half = state
     for _ in range(30):
         first_half = step(first_half, plan)
     path = tmp_path / "mid.snap"
