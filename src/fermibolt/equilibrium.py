@@ -68,10 +68,10 @@ def solve_kappa_many(
     estimate target / int(M) seeds the iteration; a warm start that runs
     out of iterations restarts from that estimate.
 
-    Every iteration evaluates the profile into one new (targets, nodes)
-    array, the one returned; its denominator and the slope's terms go to
-    the first two arrays of `work`, C-contiguous float arrays of that
-    shape (None allocates them).
+    Every iteration evaluates the profile into the third array of `work`,
+    the one returned, and its denominator and the slope's terms into the
+    first two: C-contiguous float arrays of the (targets, nodes) shape.
+    None allocates all three.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 1:
@@ -96,8 +96,9 @@ def solve_kappa_many(
     tol = rel_tol * targets
     lo = np.zeros_like(targets)          # density(0) = 0 < target always
     hi = np.full_like(targets, np.inf)
-    profile = np.empty(targets.shape + m.shape)
-    denom, terms = np.empty((2,) + profile.shape) if work is None else work[:2]
+    shape = targets.shape + m.shape
+    profile = np.empty(shape) if work is None else work[2]
+    denom, terms = np.empty((2,) + shape) if work is None else work[:2]
     for _ in range(MAX_NEWTON_ITER):
         np.multiply(kappa[:, None], m, out=profile)
         np.add(1.0, profile, out=denom)
@@ -157,8 +158,9 @@ def project(f: np.ndarray, grid: VelocityGrid, kappa_cache: np.ndarray | None = 
     kappa one value per cell. The projection only matches the density;
     odd velocity moments of the output vanish by lattice symmetry.
     `rho`, when given, is the density of f that `moments` computed; the
-    profile is the one the converged Newton evaluation built, the one new
-    array of f's shape; `work` is the solve's scratch (`solve_kappa_many`).
+    profile is the one the converged Newton evaluation built, in the third
+    array of `work`, the solve's scratch (`solve_kappa_many`), or in a new
+    array when `work` is None.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[1] != grid.n_nodes:

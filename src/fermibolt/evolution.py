@@ -39,9 +39,10 @@ state a caller holds is never overwritten by a later step. A state whose
 shape is not the plan's is refused, and two threads must not step with
 one plan at once.
 
-Between steps the rows sit idle, and a run lends all four to its record
-pass and its audit fold (`experiment._diagnose`, `audit_proof_chain`):
-nothing a step leaves in them is read again.
+Between steps the rows sit idle, and a run lends all four to its audit
+fold (`experiment.audit_proof_chain`) and, when it diagnoses one record
+at a time, to its record pass (`experiment._diagnose`): nothing a step
+leaves in them is read again.
 """
 from __future__ import annotations
 

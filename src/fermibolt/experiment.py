@@ -15,9 +15,26 @@ E = H + delta * pairing from the records (`modified_entropy`), which
 do not store it. Nothing in the time loop reads delta: `_resolve_delta`
 chooses `delta = auto` after the run, as `fermibolt fit` and `audit` do.
 
-The record pass and the audit fold build every state-sized temporary in
-the step plan's four workspace rows, idle between steps, so the
-RESIDENT_STATES arrays that `_check_budgets` counts bound the run's peak.
+Records are made in batches. Each recorded state is copied into its slot
+of a stack of K as it is made, and one `_diagnose` call on the stack, the
+record pass, computes the K records together: every functional takes the
+leading batch axis and reduces per record, so a record is the same bit
+for bit at any K, while numpy's per-call cost is paid once per batch,
+not once per record. Only the projections' Newton solves stay one per
+record, each warm-started from the record before it. K is
+`record_batch_size` of the state's byte size. Record 0 is a batch of its
+own and K divides SNAPSHOT_STRIDE, so every batch ends on a snapshot
+record; the last step flushes what is pending. A flush checks, writes,
+folds and dumps its records in order and flushes the CSV once, and a step
+that raises flushes the pending records first, so a run leaves the rows,
+snapshots and error that one record at a time would.
+
+At K = 1 the batch is the recorded state itself and the record pass and
+the audit fold build every state-sized temporary in the step plan's four
+workspace rows, idle between steps, so the RESIDENT_STATES arrays that
+`_check_budgets` counts bound the run's peak. A larger K needs its own
+stack and workspace, which `_check_budgets` adds as
+RECORD_BATCH_ARRAYS * RECORD_BATCH_BYTES.
 """
 from __future__ import annotations
 
@@ -31,7 +48,7 @@ import numpy as np
 from .collision import TABLE_BUDGET_BYTES, CollisionKernel, apply_collision, build_kernel
 from .config import DELTA_CANDIDATES, ConfigError, ExperimentConfig, format_config
 from .equilibrium import EquilibriumProfile, global_equilibrium, project
-from .evolution import PhaseState, initial_state, plan_step, step
+from .evolution import PhaseState, StepPlan, initial_state, plan_step, step
 from .fields import (
     FieldSet,
     SpatialGrid,
@@ -47,7 +64,7 @@ from .functionals import (
     relative_entropy,
     weighted_norm,
 )
-from .storage import CsvWriter, snapshot_dump
+from .storage import SNAPSHOT_PARTIAL, CsvWriter, snapshot_dump
 from .velocity import VelocityGrid, build_velocity_grid, integrate
 
 __all__ = [
@@ -64,9 +81,13 @@ __all__ = [
     "kv_lines",
     "modified_entropy",
     "observe",
+    "RecordPlan",
+    "plan_records",
     "write_rate_report",
+    "record_batch_size",
     "SNAPSHOT_STRIDE",
     "STATE_BUDGET_BYTES",
+    "RECORD_BATCH_BYTES",
 ]
 
 SNAPSHOT_STRIDE = 10          # full state every this many records
@@ -74,12 +95,19 @@ SNAPSHOT_STRIDE = 10          # full state every this many records
 # run, at its peak: the current state and a step's two fresh sub-step
 # results, the plan's four workspace rows and its mu, muscl and Maxwellian
 # tiles, and the two barrier tiles of the per-step check. The initial
-# state is the first current state, not a copy. Between steps the record
-# pass and the audit fold work in the plan's rows and hold at most two
-# fresh arrays, the projection and one more, in the slots of the step's
-# results.
+# state is the first current state, not a copy. Between steps the audit
+# fold, and the record pass of a run with K = 1, work in the plan's rows
+# and hold at most two fresh arrays, the projection and one more, in the
+# slots of the step's results.
 STATE_BUDGET_BYTES = 512 * 2**20
 RESIDENT_STATES = 12
+# Largest stack of recorded states that one record pass diagnoses at once.
+RECORD_BATCH_BYTES = 160 * 2**10
+# Arrays of at most RECORD_BATCH_BYTES that a run with K > 1 holds besides
+# its resident states: the stack, the record pass's four workspace arrays,
+# its projection and one more fresh array of the batch's shape, and the
+# eq.profile and 1 - eq.profile tiles, two states of a batch of at least two.
+RECORD_BATCH_ARRAYS = 8
 DELTA_WINDOW = 5.0            # time span whose records choose delta = auto
 MASS_DRIFT_TOL = 1e-12        # relative, abort threshold
 DISSIPATION_FLOOR = -1e-12    # abort if D drops below
@@ -132,50 +160,109 @@ class RunResult:
 
 def observe(f: np.ndarray, eq: EquilibriumProfile, warm: np.ndarray | None,
             vgrid: VelocityGrid, sgrid: SpatialGrid, work=None):
-    """Moments, Poisson field and local Fermi-Dirac projection of one state.
+    """Moments, Poisson field and local Fermi-Dirac projection of a batch of states.
 
-    Returns (fields, proj, kappa), each quantity computed once: the
-    projection inverts the density that `moments` found, starting its
-    Newton solve from the kappa field `warm` (None for a cold start).
-    Pure: the caller decides where the new kappa is kept. `work` is
-    scratch of f's shape for the moments and the Newton solve; proj is
-    the one new array of that shape.
+    f is (K, cells, nodes), K states in record order; one state is a batch
+    of one. Returns (fields, proj, kappa) with that leading axis, each
+    quantity computed once: the projections invert the densities that
+    `moments` found, in record order, each Newton solve starting from the
+    kappa field of the record before it and the first from `warm` (None
+    for a cold start). Pure: the caller decides where the new kappa is
+    kept. `work` is scratch of f's shape for the moments and the Newton
+    solves (None allocates it); proj is the one new array of that shape.
     """
     rho, j = moments(f, vgrid, work)
     _, grad_phi = solve_poisson(rho, eq.density, sgrid)
-    proj, kappa = project(f, vgrid, kappa_cache=warm, rho=rho, work=work)
+    proj = np.empty(f.shape)
+    kappa = np.empty(rho.shape)
+    denom, terms = np.empty((2,) + f.shape[1:]) if work is None else (work[0][0], work[1][0])
+    for i in range(len(f)):
+        # the Newton solve builds record i's projection in its slot of proj
+        _, kappa[i] = project(f[i], vgrid, kappa_cache=warm, rho=rho[i],
+                              work=(denom, terms, proj[i]))
+        warm = kappa[i]
     return FieldSet(rho, j, grad_phi), proj, kappa
 
 
-def _diagnose(
-    state: PhaseState,
-    kernel: CollisionKernel,
-    eq: EquilibriumProfile,
-    work=None,
-) -> tuple[DiagnosticsRecord, tuple]:
-    """The record of a state and its `observe`.
+def _record_of(seen: tuple, i: int) -> tuple:
+    """Record i's (fields, proj, kappa) out of a batch's `observe`, as views."""
+    fields, proj, kappa = seen
+    return FieldSet(fields.rho[i], fields.j[i], fields.grad_phi[i]), proj[i], kappa[i]
 
-    The projection starts from `state.kappa_cache`, which is left as it is.
-    Every functional builds its temporaries in `work`, four arrays of the
-    state's shape (a run passes its plan's workspace; None lets each
-    allocate its own).
+
+def record_batch_size(state_bytes: int) -> int:
+    """Records per batch, K, for states of `state_bytes` each.
+
+    K is the largest divisor of SNAPSHOT_STRIDE whose K states take at
+    most RECORD_BATCH_BYTES, or 1 when no two do. It sets speed only:
+    every record is the same bit for bit at any K.
     """
-    vg, sg = state.vgrid, state.sgrid
-    f = state.f
-    fields, proj, kappa = observe(f, eq, state.kappa_cache, vg, sg, work)
-    record = DiagnosticsRecord(
-        t=state.time,
-        mass=float(np.add.reduce(fields.rho)) * sg.spacing,
-        H=relative_entropy(f, eq.profile, vg, sg, work),
-        D=dissipation(f, kernel, vg, sg, work),
-        dist_total=weighted_norm(f, vg, sg, eq.profile, work),
-        dist_local=weighted_norm(f, vg, sg, proj, work),
-        dist_hydro=weighted_norm(proj, vg, sg, eq.profile, work),
-        pairing=field_current_pairing(fields, sg),
-        kappa_min=float(np.minimum.reduce(kappa)),
-        kappa_max=float(np.maximum.reduce(kappa)),
-    )
-    return record, (fields, proj, kappa)
+    return max(k for k in range(1, SNAPSHOT_STRIDE + 1)
+               if SNAPSHOT_STRIDE % k == 0 and (k == 1 or k * state_bytes <= RECORD_BATCH_BYTES))
+
+
+@dataclass(frozen=True, eq=False)
+class RecordPlan:
+    """The constants and buffers of one run's record pass, built once by `plan_records`.
+
+    A batch of `size` records is one `_diagnose` call on its stacked
+    states. At size 1 the batch is the recorded state itself and the work
+    is the step plan's rows, so the pass holds nothing of its own; at a
+    larger size the states are copied into `stack` as they are made.
+    """
+
+    size: int                        # K, records per batch
+    vgrid: VelocityGrid
+    sgrid: SpatialGrid
+    kernel: CollisionKernel
+    eq: EquilibriumProfile
+    # eq.profile and 1 - eq.profile: (cells, nodes) tiles when size > 1,
+    # rows at size 1, where two tiles would be two more resident states
+    profile: np.ndarray
+    hole: np.ndarray
+    stack: np.ndarray | None         # (size, cells, nodes) record slots; None at size 1
+    work: tuple[np.ndarray, ...] | None  # four (size, cells, nodes) scratch arrays
+
+
+def plan_records(kernel: CollisionKernel, eq: EquilibriumProfile, plan: StepPlan,
+                 vgrid: VelocityGrid, sgrid: SpatialGrid) -> RecordPlan:
+    """The record pass of a run that steps with `plan`; K from the state's byte size."""
+    shape = plan.work[0].shape
+    size = record_batch_size(plan.work[0].nbytes)
+    rows = eq.profile, 1.0 - eq.profile
+    if size == 1:
+        return RecordPlan(1, vgrid, sgrid, kernel, eq, *rows, None,
+                          tuple(row[None] for row in plan.work))
+    tiles = (np.tile(row, (shape[0], 1)) for row in rows)
+    return RecordPlan(size, vgrid, sgrid, kernel, eq, *tiles, np.empty((size,) + shape),
+                      tuple(np.empty((4, size) + shape)))
+
+
+def _diagnose(f: np.ndarray, times, warm: np.ndarray | None,
+              rplan: RecordPlan) -> tuple[list[DiagnosticsRecord], tuple]:
+    """The records of the stacked states f, (K, cells, nodes) at `times`, and their `observe`.
+
+    K may be below rplan.size (a run's last batch). The projections start
+    from the kappa field `warm`. Every functional builds its temporaries
+    in the first K slots of rplan.work (None lets each allocate its own)
+    and reduces per record, so each record is the one a single state gives.
+    """
+    vg, sg = rplan.vgrid, rplan.sgrid
+    work = None if rplan.work is None else tuple(w[:len(f)] for w in rplan.work)
+    fields, proj, kappa = seen = observe(f, rplan.eq, warm, vg, sg, work)
+    columns = np.column_stack((
+        np.add.reduce(fields.rho, axis=-1) * sg.spacing,
+        relative_entropy(f, rplan.profile, rplan.hole, vg, sg, work),
+        dissipation(f, rplan.kernel, vg, sg, work),
+        weighted_norm(f, vg, sg, rplan.profile, work),
+        weighted_norm(f, vg, sg, proj, work),
+        weighted_norm(proj, vg, sg, rplan.profile, work),
+        field_current_pairing(fields, sg),
+        np.minimum.reduce(kappa, axis=-1),
+        np.maximum.reduce(kappa, axis=-1),
+    ))
+    # tolist gives each float64 as the Python float of the same value
+    return [DiagnosticsRecord(t, *row) for t, row in zip(times, columns.tolist())], seen
 
 
 def modified_entropy(records, delta: float) -> np.ndarray:
@@ -280,7 +367,8 @@ def _resolve_delta(config: ExperimentConfig, records) -> float:
 def _check_budgets(config: ExperimentConfig) -> None:
     """ConfigError when the run's resident states or its kernel table exceed a budget.
 
-    Sized from the config alone, before any lattice array exists. The
+    Sized from the config alone, before any lattice array exists; a run
+    whose records are batched (K > 1) adds its record batch. The
     table is n x n: n is nodes_per_axis for the `gaussian_bump` factor and
     the velocity node count, which its header must declare, for a
     `custom_table`. A velocity dimension the grid refuses is left to it.
@@ -288,11 +376,16 @@ def _check_budgets(config: ExperimentConfig) -> None:
     if config.d_v not in (1, 2):
         return
     n_nodes = config.nodes_per_axis**config.d_v
-    total = RESIDENT_STATES * 8 * config.spatial_cells * n_nodes
+    state_bytes = 8 * config.spatial_cells * n_nodes
+    total = RESIDENT_STATES * state_bytes
+    batch = ""
+    if record_batch_size(state_bytes) > 1:
+        total += RECORD_BATCH_ARRAYS * RECORD_BATCH_BYTES
+        batch = " and its record batch"
     if total > STATE_BUDGET_BYTES:
         raise ConfigError(
             f"{config.spatial_cells} cells x {n_nodes} velocity nodes: the run's "
-            f"{RESIDENT_STATES} resident state arrays take {total} bytes "
+            f"{RESIDENT_STATES} resident state arrays{batch} take {total} bytes "
             f"({total / 2**20:.6g} MiB), over the {STATE_BUDGET_BYTES // 2**20} MiB budget"
         )
     n = {"gaussian_bump": config.nodes_per_axis, "custom_table": n_nodes}.get(config.kernel, 0)
@@ -326,17 +419,19 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
     When `output_dir` is given, the snapshots and rate report of an
     earlier run there are removed first. Then the config with its dt
     resolved goes to snapshots/manifest.cfg (`delta = auto` stays auto
-    there), each record goes to diagnostics.csv as soon as it is made,
-    sparse snapshots go to snapshots/, and the rate report is written in
-    both text and key = value form.
+    there), the rows of each batch of records go to diagnostics.csv, flushed
+    once, as soon as the batch is made, sparse snapshots go to snapshots/
+    (each written under a temporary name and renamed into place), and the
+    rate report is written in both text and key = value form.
 
     The initial state is checked as every step's result is, before the
     first record, and stepped from without a copy. Each interior snapshot
-    record is folded into the audit as it is made, and its index is kept
-    for `_close_audit`. Records, the audit folds and the initial mass work
-    in the step plan's workspace rows, so the run's state-sized arrays
-    never exceed the RESIDENT_STATES that `_check_budgets` admitted. delta is resolved once, after the last
-    step, by `_resolve_delta`, which `fermibolt fit` and `audit` also call.
+    record is folded into the audit when its batch is flushed, and its
+    index is kept for `_close_audit`. The records, the audit folds and the
+    initial mass work in the workspaces of the step and record plans, so
+    the run's state-sized arrays never exceed what `_check_budgets`
+    admitted. delta is resolved once, after the last step, by
+    `_resolve_delta`, which `fermibolt fit` and `audit` also call.
     """
     config.validate()
     vgrid, sgrid, kernel = build_lattice(config)
@@ -376,8 +471,10 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
         os.makedirs(snap_dir, exist_ok=True)
         reports = [os.path.join(output_dir, f"rate_report.{ext}") for ext in ("txt", "kv")]
         # a reused directory keeps no earlier run's snapshots or rate report
+        # and no snapshot a killed run left half written under its temporary name
         stale = [os.path.join(snap_dir, name) for name in os.listdir(snap_dir)
-                 if name.startswith("state_") and name.endswith(".snap")]
+                 if name.startswith("state_")
+                 and name.endswith((".snap", ".snap" + SNAPSHOT_PARTIAL))]
         for path in stale + reports:
             if os.path.isfile(path):
                 os.remove(path)
@@ -385,36 +482,62 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> R
             fh.write(format_config(resolved))
         writer = CsvWriter(os.path.join(output_dir, "diagnostics.csv"))
 
+    rplan = plan_records(kernel, eq, plan, vgrid, sgrid)
+    warm = state.kappa_cache  # the warm start of the next record's projection
     records: list[DiagnosticsRecord] = []
+    pending: list[tuple[int, float]] = []  # (step, time) of each record waiting in the batch
     audit = dict(AUDIT_START)
     audited: list[int] = []  # indices of the records folded into `audit`
-    try:
-        for k in range(n_steps + 1):
-            if k:
-                state = step(state, plan, check=partial(check_step, k))
-            # the last step always records, so an end state is known here
-            if k % config.record_every and k != n_steps:
-                continue
-            record, seen = _diagnose(state, kernel, eq, plan.work)
-            # the run keeps each record's kappa as the next record's warm start
-            state.kappa_cache = seen[2]
+
+    def flush(batch: np.ndarray) -> None:
+        """Diagnose the pending records, stacked in `batch`, then check and write each in order."""
+        nonlocal warm
+        made, seen = _diagnose(batch, [t for _, t in pending], warm, rplan)
+        warm = seen[2][-1]
+        for i, ((k, t), record) in enumerate(zip(pending, made)):
             _check_record(k, record, mass0)
             records.append(record)
             if writer is not None:
                 writer.write(record)
-            if (len(records) - 1) % SNAPSHOT_STRIDE == 0:
+            if (len(records) - 1) % SNAPSHOT_STRIDE == 0:  # a batch's last record
+                snap = PhaseState(batch[i], t, vgrid, sgrid, seen[2][i])
                 if k in (0, n_steps):
                     audit["samples_skipped"] += 1
                 else:
-                    audit_proof_chain(audit, state, seen, record, kernel=kernel, eq=eq,
-                                      work=plan.work)
+                    audit_proof_chain(audit, snap, _record_of(seen, i), record, kernel=kernel,
+                                      eq=eq, work=plan.work)
                     audited.append(len(records) - 1)
                 if snap_dir is not None:
-                    snapshot_dump(state, os.path.join(snap_dir, f"state_{k:08d}.snap"))
-            del seen  # its projection is state-sized: not resident during the steps
+                    snapshot_dump(snap, os.path.join(snap_dir, f"state_{k:08d}.snap"))
+        pending.clear()
+        if writer is not None:
+            writer.flush()
+
+    try:
+        for k in range(n_steps + 1):
+            if k:
+                try:
+                    state = step(state, plan, check=partial(check_step, k))
+                except BaseException:
+                    # the pending records' steps come first, and so does a violation
+                    # among them; only a run with K > 1 has records pending here
+                    if pending:
+                        flush(rplan.stack[:len(pending)])
+                    raise
+            # the last step always records, so an end state is known here
+            if k % config.record_every and k != n_steps:
+                continue
+            if rplan.stack is not None:
+                rplan.stack[len(pending)] = state.f  # the record's slot in the batch
+            pending.append((k, state.time))
+            # record 0 is a batch of its own, so every batch ends on a snapshot record
+            if (len(records) + len(pending) - 1) % rplan.size == 0 or k == n_steps:
+                # a batch of one is the state itself
+                flush(state.f[None] if rplan.stack is None else rplan.stack[:len(pending)])
     finally:
         if writer is not None:
             writer.close()
+    state.kappa_cache = warm
     delta = _resolve_delta(resolved, records)
     resolved = replace(resolved, delta=delta)
 
@@ -553,7 +676,9 @@ def audit_proof_chain(out: dict, state: PhaseState, seen: tuple, record: Diagnos
         t1 = -float(np.sum(fields.grad_phi * centered_gradient(q_second, sg))) * sg.spacing
         out["c9_min"] = min(out["c9_min"], -t1 / dh**2)
         if dl > AUDIT_DIST_FLOOR:
-            dx_g = centered_gradient(np.subtract(state.f, proj, out=rows[0]), sg, out=rows[1])
+            # transposed views put the cells on the last axis, which the gradient runs along
+            dx_g = centered_gradient(np.subtract(state.f, proj, out=rows[0]).T, sg,
+                                     out=rows[1].T).T
             dx_g *= v1_sq
             flux2 = integrate(dx_g, vg, rows[1:])
             t2 = -float(np.sum(fields.grad_phi * flux2)) * sg.spacing
@@ -624,8 +749,11 @@ def audit_snapshots(records, states, *, kernel: CollisionKernel,
         audited.append(k)
         if work is None:
             work = np.empty((4,) + state.f.shape)
-        seen = observe(state.f, eq, state.kappa_cache, state.vgrid, state.sgrid, work)
-        audit_proof_chain(out, state, seen, records[k], kernel=kernel, eq=eq, work=work)
+        # the snapshot observed as a batch of one, in the fold's workspace
+        seen = observe(state.f[None], eq, state.kappa_cache, state.vgrid, state.sgrid,
+                       work[:, None])
+        audit_proof_chain(out, state, _record_of(seen, 0), records[k], kernel=kernel, eq=eq,
+                          work=work)
     return _close_audit(out, audited, records, delta)
 
 

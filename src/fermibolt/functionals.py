@@ -23,8 +23,17 @@ formed where it is read (`experiment.modified_entropy`).
 
 Each functional takes `work=`, a sequence of C-contiguous float arrays of
 the state's shape, and builds its temporaries there in place: a run lends
-them its step workspace (`evolution.StepPlan.work`). None allocates them;
-the float operations and their order are the same either way.
+them its record workspace (`experiment.RecordPlan.work`). None allocates
+them; the float operations and their order are the same either way.
+
+Each also takes leading batch axes: a stack of K states, (K, cells,
+nodes), gives K values, one per state, where one (cells, nodes) state
+gives a float. Every sum runs over nodes first, then cells, as numpy's
+pairwise `add.reduce` along the last axis, so each state's value is the
+one a single call gives, bit for bit. A per-node reference (a profile,
+1 - a profile) may be a (nodes,) row or a (cells, nodes) tile; either
+broadcasts over the stack, and a tile spares numpy a row broadcast per
+cell.
 """
 from __future__ import annotations
 
@@ -44,15 +53,25 @@ __all__ = [
     "RECORD_FIELDS",
 ]
 
+def _phase_sum(terms: np.ndarray, sgrid: SpatialGrid) -> np.ndarray:
+    """dx sum_x sum_v terms per state: nodes first, then cells, pairwise along each."""
+    return np.add.reduce(np.add.reduce(terms, axis=-1), axis=-1) * sgrid.spacing
+
+
+def _per_state(values: np.ndarray):
+    """A float for one state, the array of K values for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
 def weighted_norm(g: np.ndarray, vgrid: VelocityGrid, sgrid: SpatialGrid,
-                  ref: np.ndarray | None = None, work=None) -> float:
+                  ref: np.ndarray | None = None, work=None):
     """sqrt( sum_x dx sum_v (g - ref)^2 / M w ); deterministic pairwise reduction.
 
-    `ref` is a field or a profile broadcast over the cells; None is zero.
-    The squares go to the first array of `work`.
+    `ref` is a field, a tile or a profile broadcast over the cells; None
+    is zero. The squares go to the first array of `work`.
     """
     g = np.asarray(g)
-    if g.ndim != 2 or g.shape[1] != vgrid.n_nodes:
+    if g.ndim < 2 or g.shape[-1] != vgrid.n_nodes:
         raise ValueError("expected a field shaped (cells, velocity nodes)")
     sq = np.empty(g.shape) if work is None else work[0]
     if ref is not None:
@@ -60,8 +79,7 @@ def weighted_norm(g: np.ndarray, vgrid: VelocityGrid, sgrid: SpatialGrid,
     np.multiply(g, g, out=sq)
     sq /= vgrid.maxwellian
     sq *= vgrid.weight
-    total = np.add.reduce(np.add.reduce(sq, axis=-1))
-    return float(np.sqrt(total * sgrid.spacing))
+    return _per_state(np.sqrt(_phase_sum(sq, sgrid)))
 
 
 def _check_open_interval(f: np.ndarray) -> None:
@@ -76,21 +94,25 @@ def _check_open_interval(f: np.ndarray) -> None:
 def relative_entropy(
     f: np.ndarray,
     eq_profile: np.ndarray,
+    eq_hole: np.ndarray,
     vgrid: VelocityGrid,
     sgrid: SpatialGrid,
     work=None,
-) -> float:
-    """Physical entropy of f relative to the uniform profile; three arrays of `work`."""
+):
+    """Physical entropy of f relative to the uniform profile p; three arrays of `work`.
+
+    `eq_hole` is 1 - p, which the caller forms once rather than this
+    function on every call.
+    """
     f = np.asarray(f, dtype=float)
     _check_open_interval(f)
-    p = eq_profile
     hole, s, t = np.empty((3,) + f.shape) if work is None else work[:3]
     np.subtract(1.0, f, out=hole)
-    np.multiply(f, np.log(np.divide(f, p, out=s), out=s), out=s)
-    np.multiply(hole, np.log(np.divide(hole, 1.0 - p, out=t), out=t), out=t)
+    np.multiply(f, np.log(np.divide(f, eq_profile, out=s), out=s), out=s)
+    np.multiply(hole, np.log(np.divide(hole, eq_hole, out=t), out=t), out=t)
     s += t
     s *= vgrid.weight
-    return float(np.add.reduce(np.add.reduce(s, axis=-1)) * sgrid.spacing)
+    return _per_state(_phase_sum(s, sgrid))
 
 
 def dissipation(
@@ -99,7 +121,7 @@ def dissipation(
     vgrid: VelocityGrid,
     sgrid: SpatialGrid,
     work=None,
-) -> float:
+):
     """Collision entropy production, >= 0 up to rounding.
 
     With a = M (1 - f) and S the kernel's scatter map, the double sum
@@ -126,20 +148,20 @@ def dissipation(
     np.multiply(vgrid.maxwellian, np.subtract(1.0, f, out=a), out=a)
     ratio = np.divide(f, a, out=terms)        # F = f / (M (1 - f))
     centre = np.add.reduce(f, axis=-1) / np.add.reduce(a, axis=-1)  # uniform weights cancel
-    np.subtract(np.log(ratio, out=chi), np.log(centre)[:, None], out=chi)
-    np.subtract(ratio, centre[:, None], out=terms)
+    np.subtract(np.log(ratio, out=chi), np.log(centre)[..., None], out=chi)
+    np.subtract(ratio, centre[..., None], out=terms)
     np.multiply(a, terms, out=terms)          # a Ft
     np.multiply(chi, kernel.scatter(a, out=bracket), out=bracket)
     a *= chi
     bracket -= kernel.scatter(a, out=chi)     # chit (S a) - S (a chit)
     terms *= bracket
     terms *= vgrid.weight
-    return float(np.add.reduce(np.add.reduce(terms, axis=-1))) * sgrid.spacing
+    return _per_state(_phase_sum(terms, sgrid))
 
 
-def field_current_pairing(fields: FieldSet, sgrid: SpatialGrid) -> float:
+def field_current_pairing(fields: FieldSet, sgrid: SpatialGrid):
     """sum_x grad_phi j dx, with j the current along v1, the axis of space."""
-    return float(np.add.reduce(fields.grad_phi * fields.j) * sgrid.spacing)
+    return _per_state(np.add.reduce(fields.grad_phi * fields.j, axis=-1) * sgrid.spacing)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ start, so a resumed run continues on exactly the bytes it left.
 """
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -19,6 +20,7 @@ from .velocity import build_velocity_grid
 
 __all__ = [
     "SnapshotError",
+    "SNAPSHOT_PARTIAL",
     "CsvWriter",
     "load_csv",
     "snapshot_dump",
@@ -27,6 +29,7 @@ __all__ = [
 
 SNAPSHOT_MAGIC = b"FBOLTSN1"
 SNAPSHOT_VERSION = 1
+SNAPSHOT_PARTIAL = ".partial"  # suffix of a snapshot while it is written
 _HEADER = struct.Struct("<8sI IIdId I")  # magic, version, d_v, N_v, L, N_x, t, cache flag
 
 
@@ -35,7 +38,11 @@ class SnapshotError(RuntimeError):
 
 
 class CsvWriter:
-    """Streaming diagnostics writer: one flushed line per record."""
+    """Streaming diagnostics writer: one line per record, on disk at each `flush`.
+
+    The header is flushed when the file is opened; a run flushes once per
+    batch of records.
+    """
 
     def __init__(self, path: str):
         self._fh = open(path, "w", encoding="utf-8", newline="\n")
@@ -44,6 +51,8 @@ class CsvWriter:
 
     def write(self, record: DiagnosticsRecord) -> None:
         self._fh.write(",".join(f"{v:.17g}" for v in record.as_row()) + "\n")
+
+    def flush(self) -> None:
         self._fh.flush()
 
     def close(self) -> None:
@@ -84,6 +93,11 @@ def load_csv(path: str):
 
 
 def snapshot_dump(state: PhaseState, path: str) -> None:
+    """Write `state` to `path` atomically: into `path` + SNAPSHOT_PARTIAL, then renamed.
+
+    A dump that fails removes its partial file; one killed outright
+    leaves that file, never a truncated `path`.
+    """
     vg, sg = state.vgrid, state.sgrid
     has_cache = state.kappa_cache is not None
     header = _HEADER.pack(
@@ -96,11 +110,18 @@ def snapshot_dump(state: PhaseState, path: str) -> None:
         state.time,
         1 if has_cache else 0,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(state.f, dtype="<f8").tobytes())
-        if has_cache:
-            fh.write(np.ascontiguousarray(state.kappa_cache, dtype="<f8").tobytes())
+    partial = path + SNAPSHOT_PARTIAL
+    fh = open(partial, "wb")
+    try:
+        with fh:
+            fh.write(header)
+            fh.write(np.ascontiguousarray(state.f, dtype="<f8").tobytes())
+            if has_cache:
+                fh.write(np.ascontiguousarray(state.kappa_cache, dtype="<f8").tobytes())
+    except BaseException:
+        os.remove(partial)
+        raise
+    os.replace(partial, path)
 
 
 def snapshot_load(path: str, vgrid=None, sgrid=None) -> PhaseState:

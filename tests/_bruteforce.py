@@ -354,7 +354,7 @@ def pilot_samples(result):
         fields = FieldSet(rho=rho, j=j, grad_phi=grad_phi)
         samples.append((
             state.time,
-            relative_entropy(state.f, eq.profile, vg, sg),
+            relative_entropy(state.f, eq.profile, 1.0 - eq.profile, vg, sg),
             field_current_pairing(fields, sg),
             weighted_norm(state.f - eq.profile[None, :], vg, sg),
         ))
@@ -378,9 +378,8 @@ def lyapunov_functional(f, eq_profile, fields, delta, vgrid, sgrid):
     """Relative entropy plus delta times the field-current pairing."""
     from fermibolt.functionals import field_current_pairing, relative_entropy
 
-    return relative_entropy(f, eq_profile, vgrid, sgrid) + delta * field_current_pairing(
-        fields, sgrid
-    )
+    entropy = relative_entropy(f, eq_profile, 1.0 - eq_profile, vgrid, sgrid)
+    return entropy + delta * field_current_pairing(fields, sgrid)
 
 
 def collision_norm_probe(samples, kernel, grid, spacing=1.0, floor=1e-12):

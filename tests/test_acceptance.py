@@ -19,7 +19,7 @@ from fermibolt.evolution import (
     plan_step,
     step,
 )
-from fermibolt.experiment import modified_entropy
+from fermibolt.experiment import modified_entropy, record_batch_size
 from fermibolt.fields import FieldSet, build_spatial_grid, solve_poisson
 from fermibolt.functionals import dissipation, relative_entropy
 from fermibolt.velocity import build_velocity_grid, integrate
@@ -98,7 +98,7 @@ def test_criterion_03_entropy_decay(default_run):
     f0 = np.tile(cell, (4, 1))
     mass0 = float(integrate(cell, vg))
     eq = global_equilibrium(mass0, vg)
-    h0 = relative_entropy(f0, eq.profile, vg, sg)
+    h0 = relative_entropy(f0, eq.profile, 1.0 - eq.profile, vg, sg)
     d0 = dissipation(f0, kernel, vg, sg)
     dt0 = 0.5 * collision_dt_ceiling(kernel, vg)
     defects = []
@@ -108,7 +108,7 @@ def test_criterion_03_entropy_decay(default_run):
         # a Lie plan takes one forward-Euler collision sub-step
         plan = plan_step(kernel, vg, sg, ExperimentConfig(dt=dt, splitting="lie"))
         after = collision_step(state, plan)
-        h1 = relative_entropy(after.f, eq.profile, vg, sg)
+        h1 = relative_entropy(after.f, eq.profile, 1.0 - eq.profile, vg, sg)
         defects.append(abs(h1 - h0 + dt * d0))
     orders = [math.log2(defects[k] / defects[k + 1]) for k in range(3)]
     order_ok = min(orders) >= 0.95
@@ -296,7 +296,14 @@ def test_criterion_10_determinism(tmp_path):
             nodes_per_axis=64, spatial_cells=128, kernel="gaussian_bump",
             t_final=0.05, record_every=5,
         ),
+        # a record every step, ten a batch: the scatter runs on stacks of ten states
+        "bump1d_batched": ExperimentConfig(
+            nodes_per_axis=64, spatial_cells=16, kernel="gaussian_bump",
+            t_final=0.5, record_every=1,
+        ),
     }
+    batched = configs["bump1d_batched"]
+    assert record_batch_size(8 * batched.spatial_cells * batched.nodes_per_axis) == 10
     identical = True
     sizes = []
     for label, config in configs.items():

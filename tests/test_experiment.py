@@ -358,6 +358,84 @@ def test_cli_run_reports_an_invariant_violation_in_one_line(monkeypatch, tmp_pat
     assert warnings == 0 and [r.t for r in records] == [0.0]
 
 
+# Ten 2 KiB states a batch, one record a step: record k is made at step k,
+# and records 11 to 20 form the third batch.
+BATCHED = ExperimentConfig(nodes_per_axis=16, spatial_cells=16, t_final=1.0, record_every=1)
+
+
+def _negative_dissipation_at(monkeypatch, record):
+    """Make `record`'s D negative, in whichever batch's record pass it falls."""
+    real = experiment.dissipation
+    first = [0]  # the index of the first record of the next batch
+
+    def broken(f, *args, **kwargs):
+        d = real(f, *args, **kwargs)
+        if first[0] <= record < first[0] + len(d):
+            d[record - first[0]] = -1e-9
+        first[0] += len(d)
+        return d
+
+    monkeypatch.setattr(experiment, "dissipation", broken)
+
+
+def _mass_break_in_step(monkeypatch, stop_step):
+    real_collision_step = evolution.collision_step
+    calls = [0]
+
+    def broken(state, *args, **kwargs):
+        out = real_collision_step(state, *args, **kwargs)
+        calls[0] += 1
+        if calls[0] == stop_step:
+            out.f = out.f * (1.0 + 1e-9)
+        return out
+
+    monkeypatch.setattr(evolution, "collision_step", broken)
+
+
+@pytest.fixture(scope="module")
+def batched_run_csv(tmp_path_factory):
+    """The diagnostics lines of BATCHED run whole."""
+    out = tmp_path_factory.mktemp("batched_whole")
+    result = run_experiment(BATCHED, output_dir=str(out))
+    assert experiment.record_batch_size(result.final_state.f.nbytes) == SNAPSHOT_STRIDE
+    return (out / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
+
+
+def _aborted(out, step_index, quantity):
+    with pytest.raises(InvariantViolation) as err:
+        run_experiment(BATCHED, output_dir=str(out))
+    assert (err.value.step_index, err.value.quantity) == (step_index, quantity)
+    return (sorted(path.name for path in (out / "snapshots").glob("*.snap")),
+            (out / "diagnostics.csv").read_text(encoding="utf-8").splitlines())
+
+
+def test_a_negative_dissipation_inside_a_batch_aborts_at_its_record(
+        batched_run_csv, monkeypatch, tmp_path):
+    _negative_dissipation_at(monkeypatch, 13)
+    snaps, lines = _aborted(tmp_path, 13, "dissipation")
+    # the header and the rows of records 0 to 12, as the whole run wrote them
+    assert lines == batched_run_csv[:14]
+    assert snaps == ["state_00000000.snap", "state_00000010.snap"]
+
+
+def test_a_step_violation_writes_the_pending_records_first(batched_run_csv, monkeypatch,
+                                                           tmp_path):
+    # records 11 to 13 wait in their batch when step 14 breaks the mass
+    _mass_break_in_step(monkeypatch, 14)
+    snaps, lines = _aborted(tmp_path, 14, "mass")
+    assert lines == batched_run_csv[:15]
+    assert snaps == ["state_00000000.snap", "state_00000010.snap"]
+
+
+def test_a_pending_record_violation_wins_over_a_later_step_violation(
+        batched_run_csv, monkeypatch, tmp_path):
+    # record 12's D fails when step 14's failure flushes it: step 12 came first
+    _negative_dissipation_at(monkeypatch, 12)
+    _mass_break_in_step(monkeypatch, 14)
+    _, lines = _aborted(tmp_path, 12, "dissipation")
+    assert lines == batched_run_csv[:13]
+
+
 def test_nan_fails_the_run_checks():
     # each comparison is written so that NaN fails it
     config = ExperimentConfig(nodes_per_axis=8, spatial_cells=8)
@@ -911,6 +989,40 @@ def test_cli_audit_reports_a_bad_snapshot(cli_run_dir, tmp_path, capsys, damage)
         want = "was written on a different velocity lattice"
     line = _audit_fails(cli_run_dir / "diagnostics.csv", snap_dir, capsys)
     assert line == f"audit failed: {victim} {want}"
+
+
+class _Unwritable:
+    """A field whose conversion to bytes fails, as a full disk would mid-dump."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("no space left on device")
+
+
+def test_a_failed_snapshot_dump_leaves_the_earlier_snapshots_auditable(cli_run_dir, tmp_path,
+                                                                       capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(cli_run_dir, run_dir)
+    snap_dir, csv = run_dir / "snapshots", run_dir / "diagnostics.csv"
+    before = sorted(snap_dir.iterdir())
+    assert cli.main(["audit", str(csv), str(snap_dir)]) == 0
+    want = capsys.readouterr().out
+    config = load_config(str(snap_dir / "manifest.cfg"))
+    vgrid, sgrid, _ = build_lattice(config)
+    # the header is written, then the field fails: neither the snapshot nor
+    # its partial file is left
+    with pytest.raises(OSError, match="no space left"):
+        snapshot_dump(PhaseState(f=_Unwritable(), time=9.0, vgrid=vgrid, sgrid=sgrid),
+                      str(snap_dir / "state_99999999.snap"))
+    assert sorted(snap_dir.iterdir()) == before
+    # a dump killed outright leaves its partial file, which `audit` does not read
+    partial = snap_dir / "state_99999999.snap.partial"
+    partial.write_bytes(b"FBOLTSN1")
+    assert cli.main(["audit", str(csv), str(snap_dir)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (want, "")
+    # and the next run in the directory sweeps it away
+    run_experiment(config, output_dir=str(run_dir))
+    assert sorted(snap_dir.iterdir()) == before
 
 
 def test_cli_threads_pins_environment(cli_run_dir, monkeypatch):

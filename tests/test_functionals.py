@@ -15,8 +15,7 @@ from fermibolt.functionals import (
     relative_entropy,
     weighted_norm,
 )
-from fermibolt.evolution import PhaseState
-from fermibolt.experiment import _diagnose, modified_entropy
+from fermibolt.experiment import RecordPlan, _diagnose, modified_entropy, observe
 
 import _bruteforce as bf
 
@@ -70,7 +69,7 @@ def test_weighted_norm_matches_bruteforce():
 
 def test_entropy_zero_at_equilibrium(vgrid, sgrid, eq):
     f = np.tile(eq.profile, (64, 1))
-    assert relative_entropy(f, eq.profile, vgrid, sgrid) == 0.0
+    assert relative_entropy(f, eq.profile, 1.0 - eq.profile, vgrid, sgrid) == 0.0
 
 
 def test_entropy_positive_away_from_equilibrium(vgrid, sgrid, eq):
@@ -78,7 +77,7 @@ def test_entropy_positive_away_from_equilibrium(vgrid, sgrid, eq):
     f = _random_admissible(rng, vgrid, 64)
     dist = weighted_norm(f - eq.profile[None, :], vgrid, sgrid)
     assert dist > 1e-8
-    assert relative_entropy(f, eq.profile, vgrid, sgrid) > 0.0
+    assert relative_entropy(f, eq.profile, 1.0 - eq.profile, vgrid, sgrid) > 0.0
 
 
 def test_entropy_quadratic_expansion(vgrid, sgrid, eq):
@@ -87,7 +86,7 @@ def test_entropy_quadratic_expansion(vgrid, sgrid, eq):
     eps = 1e-3
     p = eq.profile[None, :]
     f = p + eps * shape * p * (1.0 - p)
-    h = relative_entropy(f, eq.profile, vgrid, sgrid)
+    h = relative_entropy(f, eq.profile, 1.0 - eq.profile, vgrid, sgrid)
     dev = f - p
     quad = 0.5 * float(
         np.sum(np.sum(dev**2 / (p * (1.0 - p)) * vgrid.weights, axis=-1))
@@ -100,13 +99,13 @@ def test_entropy_rejects_boundary_values(vgrid, sgrid, eq):
     f = np.tile(eq.profile, (64, 1))
     f[0, 0] = 0.0
     with pytest.raises(ValueError):
-        relative_entropy(f, eq.profile, vgrid, sgrid)
+        relative_entropy(f, eq.profile, 1.0 - eq.profile, vgrid, sgrid)
     f[0, 0] = 1.0
     with pytest.raises(ValueError):
-        relative_entropy(f, eq.profile, vgrid, sgrid)
+        relative_entropy(f, eq.profile, 1.0 - eq.profile, vgrid, sgrid)
     f[0, 0] = np.nan
     with pytest.raises(ValueError, match=r"found range \[nan, nan\]"):
-        relative_entropy(f, eq.profile, vgrid, sgrid)
+        relative_entropy(f, eq.profile, 1.0 - eq.profile, vgrid, sgrid)
 
 
 def test_entropy_matches_bruteforce(eq):
@@ -116,7 +115,7 @@ def test_entropy_matches_bruteforce(eq):
     f = _random_admissible(rng, vg, 8)
     profile = fermi_profile(1.3, vg)
     assert math.isclose(
-        relative_entropy(f, profile, vg, sg),
+        relative_entropy(f, profile, 1.0 - profile, vg, sg),
         bf.bf_entropy(f, profile, vg, sg),
         rel_tol=1e-12,
     )
@@ -165,6 +164,63 @@ def test_dissipation_matches_pairwise_near_equilibrium(oracle_case):
     assert values[0] > 1e-6 and values[-1] < 1e-16
 
 
+# (d_v, kernel) of the stacked-record checks, on the oracle lattices: 64
+# nodes in 1-d, 32^2 in 2-d; custom_table is the saved 1-d Gaussian table.
+# The Gaussian scatter is a BLAS matmul over the whole stack in 1-d and two
+# per cell in 2-d.
+STACKED_KERNELS = [(1, "constant"), (1, "gaussian_bump"), (2, "gaussian_bump"),
+                   (1, "custom_table")]
+
+
+@pytest.mark.parametrize("size", [2, 5, 10])
+@pytest.mark.parametrize("dim,kind", STACKED_KERNELS,
+                         ids=[f"{dim}d-{kind}" for dim, kind in STACKED_KERNELS])
+def test_stacked_records_equal_single_calls(dim, kind, size, oracle_kernels):
+    # what a record pass computes for a stack of states, each bit for bit as
+    # for that state alone; the stack takes the profile as a (cells, nodes)
+    # tile, as a run with K > 1 does, the single state as its row
+    vg, kernel, _ = oracle_kernels[dim, kind]
+    sg = build_spatial_grid(16 // dim)
+    rng = np.random.default_rng(73 + size)
+    base = _random_admissible(rng, vg, sg.cells)
+    # the cells of one state in K orders: one mass, so one Poisson balance
+    f = np.stack([base[rng.permutation(sg.cells)] for _ in range(size)])
+    eq = global_equilibrium(float(np.sum(integrate(base, vg))) * sg.spacing, vg)
+    p, hole = eq.profile, 1.0 - eq.profile
+    p_tile, hole_tile = np.tile(p, (sg.cells, 1)), np.tile(hole, (sg.cells, 1))
+    rho, j = moments(f, vg)
+    _, grad = solve_poisson(rho, eq.density, sg)
+    fields = FieldSet(rho=rho, j=j, grad_phi=grad)
+    seen, proj, kappa = observe(f, eq, None, vg, sg)
+    stacked = {
+        "H": relative_entropy(f, p_tile, hole_tile, vg, sg),
+        "D": dissipation(f, kernel, vg, sg),
+        "dist_total": weighted_norm(f, vg, sg, p_tile),
+        "dist_local": weighted_norm(f, vg, sg, proj),
+        "dist_hydro": weighted_norm(proj, vg, sg, p_tile),
+        "pairing": field_current_pairing(fields, sg),
+    }
+    warm = None  # each projection starts from the one before it
+    for i, state in enumerate(f):
+        one_rho, one_j = moments(state, vg)
+        _, one_grad = solve_poisson(one_rho, eq.density, sg)
+        one_fields = FieldSet(rho=one_rho, j=one_j, grad_phi=one_grad)
+        one_proj, warm = project(state, vg, kappa_cache=warm, rho=one_rho)
+        single = {
+            "H": relative_entropy(state, p, hole, vg, sg),
+            "D": dissipation(state, kernel, vg, sg),
+            "dist_total": weighted_norm(state, vg, sg, p),
+            "dist_local": weighted_norm(state, vg, sg, one_proj),
+            "dist_hydro": weighted_norm(one_proj, vg, sg, p),
+            "pairing": field_current_pairing(one_fields, sg),
+        }
+        for got, want in ((rho, one_rho), (j, one_j), (grad, one_grad), (seen.rho, one_rho),
+                          (seen.grad_phi, one_grad), (proj, one_proj), (kappa, warm)):
+            assert got[i].tobytes() == want.tobytes()
+        assert {name: float(values[i]).hex() for name, values in stacked.items()} == \
+            {name: value.hex() for name, value in single.items()}
+
+
 def test_pairing_zero_for_zero_current(sgrid):
     rho = np.full(64, 0.5)
     fields = FieldSet(rho=rho, j=np.zeros(64), grad_phi=np.zeros(64))
@@ -211,17 +267,19 @@ def test_lyapunov_reduces_to_entropy(vgrid, sgrid):
     eq = global_equilibrium(float(np.sum(rho)) * sgrid.spacing, vgrid)
     _, grad = solve_poisson(rho, eq.density, sgrid)
     fields = FieldSet(rho=rho, j=j, grad_phi=grad)
-    h = relative_entropy(f, eq.profile, vgrid, sgrid)
+    h = relative_entropy(f, eq.profile, 1.0 - eq.profile, vgrid, sgrid)
     assert bf.lyapunov_functional(f, eq.profile, fields, 0.0, vgrid, sgrid) == h
     e = bf.lyapunov_functional(f, eq.profile, fields, 0.01, vgrid, sgrid)
     assert math.isclose(
         e, h + 0.01 * field_current_pairing(fields, sgrid), rel_tol=1e-12
     )
-    # E is formed where it is read, from the record's own H and pairing
-    state = PhaseState(f=f, time=0.0, vgrid=vgrid, sgrid=sgrid)
-    record, (seen, _, _) = _diagnose(state, build_kernel("constant", vgrid), eq)
+    # E is formed where it is read, from the record's own H and pairing; the
+    # state is a batch of one, diagnosed with fresh scratch
+    rplan = RecordPlan(1, vgrid, sgrid, build_kernel("constant", vgrid), eq, eq.profile,
+                       1.0 - eq.profile, None, None)
+    (record,), (seen, _, _) = _diagnose(f[None], [0.0], None, rplan)
     # the observation `_diagnose` hands on is the one the record was made from
-    assert np.array_equal(seen.grad_phi, grad) and np.array_equal(seen.j, j)
+    assert np.array_equal(seen.grad_phi[0], grad) and np.array_equal(seen.j[0], j)
     for delta in (0.0, 0.01):
         lyap = bf.lyapunov_functional(f, eq.profile, fields, delta, vgrid, sgrid)
         assert modified_entropy([record], delta)[0] == lyap

@@ -1,9 +1,14 @@
 """The record pass: `observe` and `_diagnose` against the pre-observe oracle.
 
-Every record field and every kappa field must equal the oracle's bit for
-bit, except D of a gaussian_bump run, which must agree to D_REL_TOL; the
-traced layer functions must each see one call per record.
+A run diagnoses its records in batches of K stacked states
+(`experiment.record_batch_size`). Every record field and every kappa
+field must equal the oracle's, which diagnoses one state at a time, bit
+for bit, except D of a gaussian_bump run, which must agree to D_REL_TOL;
+the trajectories cover K = 1, K > 1, a partial last batch and a K > 1
+gaussian_bump run. The traced layer functions must each see one call per
+batch, and `project` one per record.
 """
+import dataclasses
 import math
 import tracemalloc
 
@@ -31,7 +36,40 @@ TRAJECTORIES = {
                            t_final=5.6, record_every=4, delta=None),
     "2d-gaussian_bump-16sq": dict(d_v=2, nodes_per_axis=16, spatial_cells=8,
                                   kernel="gaussian_bump", t_final=0.3, record_every=2),
+    # 96 KiB states: too large for two in a batch
+    "1d-128x96-one-per-batch": dict(nodes_per_axis=128, spatial_cells=96, t_final=0.035,
+                                    record_every=1),
+    # the default lattice, five 32 KiB states a batch; 15 records end in a batch of four
+    "1d-64x64-partial-batch": dict(t_final=0.1, record_every=2),
+    # the 1-d Gaussian scatter's matmul on a stack of ten
+    "1d-gaussian_bump-64": dict(nodes_per_axis=64, spatial_cells=16, kernel="gaussian_bump",
+                                t_final=0.5, record_every=1),
 }
+# (K, whether the last batch holds fewer than K records) of each trajectory
+BATCH_SHAPES = {
+    "1d-constant-upwind1": (10, True),
+    "1d-muscl2-auto": (10, True),
+    "2d-gaussian_bump-16sq": (10, True),
+    "1d-128x96-one-per-batch": (1, False),
+    "1d-64x64-partial-batch": (5, True),
+    "1d-gaussian_bump-64": (10, True),
+}
+
+
+def test_trajectories_cover_every_batch_shape():
+    shapes = {}
+    for name, keys in TRAJECTORIES.items():
+        config = ExperimentConfig(**keys)
+        vgrid, sgrid, kernel = experiment.build_lattice(config)
+        plan = plan_step(kernel, vgrid, sgrid, config)
+        n_steps = math.ceil(config.t_final / plan.dt - 1e-12)
+        n_records = len([k for k in range(n_steps + 1)
+                         if k % config.record_every == 0 or k == n_steps])
+        # the run's K, from its state's byte size
+        size = experiment.record_batch_size(plan.work[0].nbytes)
+        # record 0 is a batch of its own, then K records a batch
+        shapes[name] = (size, (n_records - 1) % size != 0)
+    assert shapes == BATCH_SHAPES
 
 
 D_REL_TOL = 1e-14  # column D of a gaussian_bump run against the einsum oracle
@@ -70,17 +108,19 @@ def test_observe_is_pure(observed_run):
     state = snapshot_states(observed_run.output_dir)[-1]
     eq = observed_run.equilibrium
     f, warm = state.f.copy(), state.kappa_cache.copy()
-    fields, proj, kappa = observe(state.f, eq, state.kappa_cache, state.vgrid, state.sgrid)
+    # the snapshot as a batch of one, as `fermibolt audit` observes it
+    fields, proj, kappa = observe(state.f[None], eq, state.kappa_cache, state.vgrid,
+                                  state.sgrid)
     assert np.array_equal(state.f, f) and np.array_equal(state.kappa_cache, warm)
-    assert kappa is not state.kappa_cache
+    assert proj.shape == (1,) + f.shape and kappa.shape == (1,) + warm.shape
     want_proj, want_kappa = bf.seed_project(f, state.vgrid, kappa_cache=warm)
-    assert np.array_equal(proj, want_proj) and np.array_equal(kappa, want_kappa)
+    assert np.array_equal(proj[0], want_proj) and np.array_equal(kappa[0], want_kappa)
     rho, j = bf.seed_moments(f, state.vgrid)
     _, grad_phi = bf.seed_solve_poisson(rho, eq.density, state.sgrid)
     for got, want in ((fields.rho, rho), (fields.j, j[:, 0]), (fields.grad_phi, grad_phi)):
-        assert np.array_equal(got, want)
+        assert np.array_equal(got[0], want)
     # a cold start reaches the same density
-    _, _, cold = observe(f, eq, None, state.vgrid, state.sgrid)
+    _, _, cold = observe(f[None], eq, None, state.vgrid, state.sgrid)
     assert np.allclose(cold, kappa, rtol=1e-10, atol=0.0)
 
 
@@ -132,12 +172,13 @@ def test_project_returns_the_profile_of_its_kappa(kappa_targets):
     assert np.array_equal(proj_rho, proj) and np.array_equal(kappa_rho, kappa)
 
 
-# The benchmark trace wraps these names in `experiment`; per-record work
-# done outside them is time the trace cannot attribute.
+# The benchmark trace wraps these names in `experiment`; record work done
+# outside them is time the trace cannot attribute. A record pass calls each
+# once per batch, `weighted_norm` three times, and `project` once per record.
 TRACED = ("moments", "solve_poisson", "project", "weighted_norm", "relative_entropy",
           "dissipation", "field_current_pairing")
-PER_RECORD = {"moments": 1, "solve_poisson": 1, "project": 1, "weighted_norm": 3,
-              "relative_entropy": 1, "dissipation": 1, "field_current_pairing": 1}
+PER_BATCH = {"moments": 1, "solve_poisson": 1, "weighted_norm": 3, "relative_entropy": 1,
+             "dissipation": 1, "field_current_pairing": 1}
 
 
 @pytest.mark.parametrize("delta", [0.01, None], ids=["pinned", "auto"])
@@ -145,10 +186,13 @@ def test_traced_layers_see_every_record_once(delta, monkeypatch):
     calls = {name: [0, 0] for name in TRACED}  # outside, inside the audit
     in_audit = [0]
     audit_calls = []  # the time of the record each audit call folds
+    batches = []  # the records of each batch `moments` sees outside the audit
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name][in_audit[0]] += 1
+            if name == "moments" and not in_audit[0]:
+                batches.append(len(args[0]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -171,8 +215,14 @@ def test_traced_layers_see_every_record_once(delta, monkeypatch):
     result = run_experiment(config)
     assert result.rate_report.lemma_constants
     n_records = len(result.records)
+    size = experiment.record_batch_size(result.final_state.f.nbytes)
+    # record 0 alone, then full batches, then the rest
+    full, rest = divmod(n_records - 1, size)
+    assert size == SNAPSHOT_STRIDE and rest
+    assert batches == [1] + [size] * full + [rest]
     # the initial mass is an `integrate` of the density alone, not a `moments` call
-    want = {name: per * n_records for name, per in PER_RECORD.items()}
+    want = {name: per * len(batches) for name, per in PER_BATCH.items()}
+    want["project"] = n_records
     assert {name: c[0] for name, c in calls.items()} == want
 
     # one fold per interior snapshot record, made from that record's observation
@@ -389,29 +439,42 @@ def test_cli_run_refuses_an_oversized_kernel_table(tmp_path, capsys):
 
 # ------------------------------------------------ the record pass's memory
 
-def _stepped(config, steps=3):
-    """(state, plan, kernel, eq) a few steps into a perturbed run of `config`."""
+def _batched(config, steps=3):
+    """(batch, times, warm, rplan, plan): one full batch, as a run stacks it, of the
+    records after a few steps of a perturbed run of `config`, and their warm start."""
     vgrid, sgrid, kernel = experiment.build_lattice(config)
     state = initial_state(sgrid, vgrid, config.kappa_bar, config.amplitude,
                           perturbation=config.perturbation, seed=config.seed).state
     plan = plan_step(kernel, vgrid, sgrid, config)
-    for _ in range(steps):
-        state = step(state, plan)
     eq = experiment.global_equilibrium(float(np.sum(integrate(state.f, vgrid))) * sgrid.spacing,
                                        vgrid)
-    return state, plan, kernel, eq
+    rplan = experiment.plan_records(kernel, eq, plan, vgrid, sgrid)
+    for _ in range(steps):
+        state = step(state, plan)
+    warm = state.kappa_cache
+    states = []
+    for _ in range(rplan.size):
+        state = step(state, plan)
+        states.append(state)
+    if rplan.stack is None:
+        batch = state.f[None]
+    else:
+        batch = rplan.stack
+        for slot, recorded in zip(batch, states):
+            slot[...] = recorded.f
+    return batch, [s.time for s in states], warm, rplan, plan
 
 
 RECORD_LATTICES = {
-    "1d-default": dict(),
+    "1d-default": dict(),  # five states a batch
     "2d-32sq": dict(d_v=2, nodes_per_axis=32, spatial_cells=32, kernel="gaussian_bump"),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(RECORD_LATTICES))
-def stepped(request):
+def batched(request):
     config = ExperimentConfig(perturbation=1e-3, seed=7, **RECORD_LATTICES[request.param])
-    return _stepped(config)
+    return _batched(config)
 
 
 def _traced_peak(call):
@@ -425,54 +488,98 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-# Traced peak of one record pass (`_diagnose`) and one audit fold over
-# f.nbytes. With their own temporaries they were 8.2 and 8.7 on the 1-d
-# default and 9.3 and 8.0 at 32^2 nodes over 32 cells; in the plan's
-# workspace they are 3.26 and 1.24, 2.27 and 0.55. Two state-sized arrays
-# remain: the projection, and in `dissipation` the 2-d Gaussian scatter's
-# matmul intermediate. The slack is numpy's ufunc buffers for broadcast
-# operands, min(size, 8192) doubles each and at most two at once (a column
-# times a row), whole arrays on the 1-d default, plus per-cell vectors.
+def _last_state(batch, times, seen, rplan):
+    """The batch's last record, a snapshot record in a run, as the fold sees it."""
+    return experiment.PhaseState(batch[-1], times[-1], rplan.vgrid, rplan.sgrid, seen[2][-1])
+
+
+# Traced peak of one record pass (`_diagnose`) over its batch's nbytes, and
+# of one audit fold over its state's. With their own temporaries they were
+# 8.2 and 8.7 on the 1-d default and 9.3 and 8.0 at 32^2 nodes over 32 cells,
+# one state a pass. In the workspaces they are 1.53 and 1.74 on the 1-d
+# default (a batch of five) and 2.27 and 0.80 at 32^2 (a batch of one). Two
+# arrays of the batch's shape remain: the projection, and in `dissipation`
+# the 2-d Gaussian scatter's matmul intermediate. The slack is numpy's ufunc
+# buffers for broadcast operands, min(size, 8192) doubles each and at most
+# two at once (a column times a row), plus per-cell vectors.
 def _record_pass_bound(f):
     return 2 * f.nbytes + 2 * 8 * min(f.size, 8192) + 16 * 2**10
 
 
-def test_record_pass_allocates_two_states_at_most(stepped):
-    state, plan, kernel, eq = stepped
-    peak = _traced_peak(lambda: experiment._diagnose(state, kernel, eq, plan.work))
-    assert peak <= _record_pass_bound(state.f)
+def test_record_pass_allocates_two_states_at_most(batched):
+    batch, times, warm, rplan, _ = batched
+    peak = _traced_peak(lambda: experiment._diagnose(batch, times, warm, rplan))
+    assert peak <= _record_pass_bound(batch)
 
 
-def test_audit_fold_allocates_two_states_at_most(stepped):
-    state, plan, kernel, eq = stepped
-    record, seen = experiment._diagnose(state, kernel, eq, plan.work)
+def test_audit_fold_allocates_two_states_at_most(batched):
+    batch, times, warm, rplan, plan = batched
+    records, seen = experiment._diagnose(batch, times, warm, rplan)
+    state, record = _last_state(batch, times, seen, rplan), records[-1]
     # every branch of the fold runs
     assert min(record.dist_local, record.dist_hydro) > AUDIT_DIST_FLOOR
     out = dict(AUDIT_START)
     peak = _traced_peak(lambda: experiment.audit_proof_chain(
-        out, state, seen, record, kernel=kernel, eq=eq, work=plan.work))
+        out, state, experiment._record_of(seen, -1), record, kernel=rplan.kernel, eq=rplan.eq,
+        work=plan.work))
     assert peak <= _record_pass_bound(state.f)
 
 
-def test_record_pass_reads_nothing_stale_from_its_workspace(stepped):
-    # a workspace full of NaN gives the records and the audit of fresh scratch
-    state, plan, kernel, eq = stepped
-    f = state.f.copy()
-    dirty = tuple(np.full((4,) + f.shape, np.nan))
-    record, seen = experiment._diagnose(state, kernel, eq, dirty)
-    want, want_seen = experiment._diagnose(state, kernel, eq)
-    assert np.array(record.as_row()).tobytes() == np.array(want.as_row()).tobytes()
-    for got, ref in zip(seen[1:] + (seen[0].rho, seen[0].j),
-                        want_seen[1:] + (want_seen[0].rho, want_seen[0].j)):
+def test_audit_fold_cross_terms_match_a_roll_oracle(batched):
+    # the fold's terms that difference along the cells, each with np.roll along
+    # axis 0 of the (cells, nodes) field and plain sums over the nodes
+    batch, times, warm, rplan, plan = batched
+    records, seen = experiment._diagnose(batch, times, warm, rplan)
+    state, record = _last_state(batch, times, seen, rplan), records[-1]
+    fields, proj, _ = experiment._record_of(seen, -1)
+    vg, sg, dl, dh = state.vgrid, state.sgrid, record.dist_local, record.dist_hydro
+    out = dict(AUDIT_START)
+    experiment.audit_proof_chain(out, state, (fields, proj, seen[2][-1]), record,
+                                 kernel=rplan.kernel, eq=rplan.eq)
+
+    def gradient(u):
+        return (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2.0 * sg.spacing)
+
+    v1, weights = vg.first_axis, vg.weights
+    _, dgrad_dt = bf.seed_solve_poisson(-gradient(fields.j), 0.0, sg)
+    q_second = np.sum((proj - rplan.eq.profile) * v1**2 * weights, axis=-1)
+    flux2 = np.sum(gradient(state.f - proj) * v1**2 * weights, axis=-1)
+    q = bf.dense_apply_collision(state.f, bf.bf_kernel_table(rplan.kernel.kind, vg), vg)
+    flux_q = np.sum(q * v1 * weights, axis=-1)
+    want = {
+        "step1_excess_max": np.sum(dgrad_dt * fields.j) * sg.spacing - vg.dim * dl**2,
+        "c9_min": np.sum(fields.grad_phi * gradient(q_second)) * sg.spacing / dh**2,
+        "c10_max": -np.sum(fields.grad_phi * flux2) * sg.spacing / (dl * dh),
+        "c11_max": np.sum(fields.grad_phi * flux_q) * sg.spacing / (dl * dh),
+    }
+    for key, value in want.items():
+        assert math.isclose(out[key], value, rel_tol=1e-9, abs_tol=1e-15), key
+
+
+def test_record_pass_reads_nothing_stale_from_its_workspace(batched):
+    # workspaces full of NaN give the records and the audit of fresh scratch
+    batch, times, warm, rplan, plan = batched
+    f = batch.copy()
+    dirty = dataclasses.replace(rplan, work=tuple(np.full((4,) + batch.shape, np.nan)))
+    records, seen = experiment._diagnose(batch, times, warm, dirty)
+    want, want_seen = experiment._diagnose(batch, times, warm,
+                                           dataclasses.replace(rplan, work=None))
+    assert np.array([r.as_row() for r in records]).tobytes() == \
+        np.array([r.as_row() for r in want]).tobytes()
+    for got, ref in zip(seen[1:] + (seen[0].rho, seen[0].j, seen[0].grad_phi),
+                        want_seen[1:] + (want_seen[0].rho, want_seen[0].j,
+                                         want_seen[0].grad_phi)):
         assert np.array_equal(got, ref)
+    state = _last_state(batch, times, seen, rplan)
     got_audit, want_audit = dict(AUDIT_START), dict(AUDIT_START)
-    for row in dirty:
+    for row in plan.work:
         row.fill(np.nan)
-    experiment.audit_proof_chain(got_audit, state, seen, record, kernel=kernel, eq=eq,
-                                 work=dirty)
-    experiment.audit_proof_chain(want_audit, state, want_seen, want, kernel=kernel, eq=eq)
+    experiment.audit_proof_chain(got_audit, state, experiment._record_of(seen, -1), records[-1],
+                                 kernel=rplan.kernel, eq=rplan.eq, work=plan.work)
+    experiment.audit_proof_chain(want_audit, state, experiment._record_of(want_seen, -1),
+                                 want[-1], kernel=rplan.kernel, eq=rplan.eq)
     assert got_audit == want_audit
-    assert np.array_equal(state.f, f)
+    assert np.array_equal(batch, f)
 
 
 # Slack of the whole-run peak over RESIDENT_STATES states: numpy's ufunc
@@ -508,3 +615,33 @@ def test_run_peak_stays_within_the_resident_states(tmp_path):
     assert result.rate_report.lemma_constants["samples_used"] == 2
     f_bytes = result.final_state.f.nbytes
     assert peak <= experiment.RESIDENT_STATES * f_bytes + RUN_PEAK_SLACK
+
+
+def test_batched_run_peak_stays_within_its_budget(tmp_path):
+    # the fd1d_dense_records lattice, ten 16 KiB states a batch, one record
+    # a step: the stack and its workspace come on top of the resident states
+    config = ExperimentConfig(nodes_per_axis=64, spatial_cells=32, transport="muscl2",
+                              t_final=0.5, record_every=1, perturbation=1e-3, seed=7)
+    run_experiment(ExperimentConfig(nodes_per_axis=8, spatial_cells=8, t_final=0.1,
+                                    perturbation=1e-3))
+    tracemalloc.start()
+    try:
+        result = run_experiment(config, output_dir=str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    f_bytes = result.final_state.f.nbytes
+    assert experiment.record_batch_size(f_bytes) == SNAPSHOT_STRIDE
+    assert len(result.records) > 3 * SNAPSHOT_STRIDE
+    batch = experiment.RECORD_BATCH_ARRAYS * experiment.RECORD_BATCH_BYTES
+    assert peak <= experiment.RESIDENT_STATES * f_bytes + batch + RUN_PEAK_SLACK
+
+
+def test_the_state_budget_counts_a_record_batch(monkeypatch):
+    monkeypatch.setattr(experiment, "STATE_BUDGET_BYTES", 2**20)
+    # 16 KiB states, ten a batch: 12 states and 8 arrays of at most 160 KiB
+    with pytest.raises(ConfigError) as err:
+        experiment.build_lattice(ExperimentConfig(nodes_per_axis=64, spatial_cells=32))
+    assert str(err.value) == (
+        "32 cells x 64 velocity nodes: the run's 12 resident state arrays and its record "
+        "batch take 1507328 bytes (1.4375 MiB), over the 1 MiB budget")

@@ -57,8 +57,11 @@ def test_csv_writer_streams(tmp_path):
     path = tmp_path / "diag.csv"
     records = _records(3)
     with closing(CsvWriter(str(path))) as writer:
+        # the header is on disk as soon as the file is opened
+        assert path.read_text().splitlines() == [",".join(RECORD_FIELDS)]
         writer.write(records[0])
-        # the header and the first row must already be on disk
+        writer.flush()
+        # and each row once it is flushed, as a run does once per batch
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         writer.write(records[1])
