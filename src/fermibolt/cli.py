@@ -218,19 +218,9 @@ def _check_case(name: str, config) -> list[tuple[str, bool, str]]:
         return results
     results.append((f"{name}: run completes", True, f"{len(outcome.records)} records"))
     records = outcome.records
-    mass0 = records[0].mass
-    drift = max(abs(r.mass - mass0) for r in records) / abs(mass0)
-    results.append(
-        (f"{name}: mass conserved", drift <= 1e-12, f"relative drift {drift:.3e}")
-    )
+    # the run checks mass and H at every record; D >= 0 is stricter than its floor
     d_min = min(r.D for r in records)
     results.append((f"{name}: entropy production sign", d_min >= 0.0, f"min D {d_min:.3e}"))
-    h_vals = np.array([r.H for r in records])
-    rise = float(np.max(np.diff(h_vals)))
-    tol = 1e-10 * abs(h_vals[0])
-    results.append(
-        (f"{name}: entropy monotone", rise <= tol, f"max rise {rise:.3e}")
-    )
     dist = np.array([r.dist_total for r in records])
     # E / dist_total^2 > 0 wherever the distance is positive
     ok = bool(np.all(modified_entropy(records, outcome.config.delta)[dist > 0.0] > 0.0))

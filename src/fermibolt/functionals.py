@@ -101,15 +101,21 @@ def relative_entropy(
 ):
     """Physical entropy of f relative to the uniform profile p; three arrays of `work`.
 
-    `eq_hole` is 1 - p, which the caller forms once rather than this
-    function on every call.
+    `eq_hole` is 1 - p, which the caller forms once. Each term is
+    f log1p(d / p) + (1 - f) log1p(-d / (1 - p)), d = f - p: log(f / p) of a
+    ratio near 1 is off by about eps absolute. Near p, f - p is exact
+    (Sterbenz's lemma) and each quotient one rounding off, which log1p keeps;
+    the first-order terms f d / p and -(1 - f) d / (1 - p) still cancel to
+    their sum d^2 / (p (1 - p)), so a term is good to about eps / |d| relative.
     """
     f = np.asarray(f, dtype=float)
     _check_open_interval(f)
-    hole, s, t = np.empty((3,) + f.shape) if work is None else work[:3]
-    np.subtract(1.0, f, out=hole)
-    np.multiply(f, np.log(np.divide(f, eq_profile, out=s), out=s), out=s)
-    np.multiply(hole, np.log(np.divide(hole, eq_hole, out=t), out=t), out=t)
+    s, t, hole = np.empty((3,) + f.shape) if work is None else work[:3]
+    np.subtract(f, eq_profile, out=s)            # d
+    np.negative(np.divide(s, eq_hole, out=t), out=t)
+    np.multiply(np.subtract(1.0, f, out=hole), np.log1p(t, out=t), out=t)
+    s /= eq_profile
+    np.multiply(f, np.log1p(s, out=s), out=s)
     s += t
     s *= vgrid.weight
     return _per_state(_phase_sum(s, sgrid))

@@ -5,6 +5,7 @@ formulas, with none of the vectorization, folding, or chunking tricks of
 the package proper, so agreement between the two is meaningful. Only
 usable at tiny lattice sizes.
 """
+import decimal
 import math
 
 import numpy as np
@@ -40,14 +41,23 @@ def bf_weighted_norm(g, vgrid, sgrid):
 
 
 def bf_entropy(f, eq_profile, vgrid, sgrid):
-    total = 0.0
-    for x in range(f.shape[0]):
-        for i in range(vgrid.n_nodes):
-            fi = f[x, i]
-            pe = eq_profile[i]
-            s = fi * math.log(fi / pe) + (1.0 - fi) * math.log((1.0 - fi) / (1.0 - pe))
-            total += s * vgrid.weights[i] * sgrid.spacing
-    return total
+    """The defining sum f ln(f/p) + (1-f) ln((1-f)/(1-p)), in 50-digit decimal.
+
+    Every float enters exactly, so the one rounding is the final one: a
+    reference for H at any distance from equilibrium, where a float64
+    evaluation of this form loses its digits.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        one = decimal.Decimal(1)
+        total = decimal.Decimal(0)
+        for x in range(f.shape[0]):
+            for i in range(vgrid.n_nodes):
+                fi = decimal.Decimal(float(f[x, i]))
+                pe = decimal.Decimal(float(eq_profile[i]))
+                s = fi * (fi / pe).ln() + (one - fi) * ((one - fi) / (one - pe)).ln()
+                total += s * decimal.Decimal(float(vgrid.weights[i]))
+        return float(total * decimal.Decimal(float(sgrid.spacing)))
 
 
 def bf_dissipation(f, kernel_matrix, vgrid, sgrid):
@@ -495,7 +505,8 @@ def seed_weighted_norm(g, vgrid, sgrid):
 
 
 def seed_entropy(f, p, vgrid, sgrid):
-    s = f * np.log(f / p) + (1.0 - f) * np.log((1.0 - f) / (1.0 - p))
+    d = f - p
+    s = f * np.log1p(d / p) + (1.0 - f) * np.log1p(-d / (1.0 - p))
     return float(np.sum(np.sum(s * vgrid.weights, axis=-1)) * sgrid.spacing)
 
 

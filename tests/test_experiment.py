@@ -340,8 +340,16 @@ def test_violation_between_records_aborts_at_its_step(quantity, monkeypatch, tmp
     assert warnings == 0 and [r.t for r in records] == [0.0]
 
 
-def test_cli_run_reports_an_invariant_violation_in_one_line(monkeypatch, tmp_path, capsys):
-    _break_third_collision_step(monkeypatch, "mass")
+@pytest.mark.parametrize("quantity", ["mass", "entropy"])
+def test_cli_run_reports_an_invariant_violation_in_one_line(quantity, monkeypatch, tmp_path,
+                                                            capsys):
+    # mass breaks in step 3; H rises at record 1, made at step 10
+    if quantity == "mass":
+        _break_third_collision_step(monkeypatch, "mass")
+        prefix = "run failed: step 3: mass invariant failed (drift "
+    else:
+        _break_column_at(monkeypatch, "entropy", 1)
+        prefix = "run failed: step 10: entropy invariant failed (H = 1 above "
     cfg = tmp_path / "run.cfg"
     cfg.write_text("nodes_per_axis = 16\nspatial_cells = 16\nt_final = 1.0\n"
                    "record_every = 10\n", encoding="utf-8")
@@ -350,8 +358,8 @@ def test_cli_run_reports_an_invariant_violation_in_one_line(monkeypatch, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith("run failed: step 3: mass invariant failed (drift ")
-    # the manifest, the row and the snapshot made before step 3; no rate report
+    assert line.startswith(prefix)
+    # the manifest, the row and the snapshot made before the failure; no rate report
     assert sorted(path.name for path in out.rglob("*")) == [
         "diagnostics.csv", "manifest.cfg", "snapshots", "state_00000000.snap"]
     records, warnings = load_csv(str(out / "diagnostics.csv"))
@@ -363,19 +371,25 @@ def test_cli_run_reports_an_invariant_violation_in_one_line(monkeypatch, tmp_pat
 BATCHED = ExperimentConfig(nodes_per_axis=16, spatial_cells=16, t_final=1.0, record_every=1)
 
 
-def _negative_dissipation_at(monkeypatch, record):
-    """Make `record`'s D negative, in whichever batch's record pass it falls."""
-    real = experiment.dissipation
+# each record invariant: the functional of its column, and a value that fails it
+# (every H of these runs is below 1, and the distance there is far above the floor)
+RECORD_BREAKS = {"dissipation": ("dissipation", -1e-9), "entropy": ("relative_entropy", 1.0)}
+
+
+def _break_column_at(monkeypatch, quantity, record):
+    """Make `record` fail the `quantity` invariant, in whichever batch's record pass it falls."""
+    name, value = RECORD_BREAKS[quantity]
+    real = getattr(experiment, name)
     first = [0]  # the index of the first record of the next batch
 
     def broken(f, *args, **kwargs):
-        d = real(f, *args, **kwargs)
-        if first[0] <= record < first[0] + len(d):
-            d[record - first[0]] = -1e-9
-        first[0] += len(d)
-        return d
+        column = real(f, *args, **kwargs)
+        if first[0] <= record < first[0] + len(column):
+            column[record - first[0]] = value
+        first[0] += len(column)
+        return column
 
-    monkeypatch.setattr(experiment, "dissipation", broken)
+    monkeypatch.setattr(experiment, name, broken)
 
 
 def _mass_break_in_step(monkeypatch, stop_step):
@@ -409,10 +423,11 @@ def _aborted(out, step_index, quantity):
             (out / "diagnostics.csv").read_text(encoding="utf-8").splitlines())
 
 
-def test_a_negative_dissipation_inside_a_batch_aborts_at_its_record(
-        batched_run_csv, monkeypatch, tmp_path):
-    _negative_dissipation_at(monkeypatch, 13)
-    snaps, lines = _aborted(tmp_path, 13, "dissipation")
+@pytest.mark.parametrize("quantity", list(RECORD_BREAKS))
+def test_a_record_violation_inside_a_batch_aborts_at_its_record(
+        quantity, batched_run_csv, monkeypatch, tmp_path):
+    _break_column_at(monkeypatch, quantity, 13)
+    snaps, lines = _aborted(tmp_path, 13, quantity)
     # the header and the rows of records 0 to 12, as the whole run wrote them
     assert lines == batched_run_csv[:14]
     assert snaps == ["state_00000000.snap", "state_00000010.snap"]
@@ -430,7 +445,7 @@ def test_a_step_violation_writes_the_pending_records_first(batched_run_csv, monk
 def test_a_pending_record_violation_wins_over_a_later_step_violation(
         batched_run_csv, monkeypatch, tmp_path):
     # record 12's D fails when step 14's failure flushes it: step 12 came first
-    _negative_dissipation_at(monkeypatch, 12)
+    _break_column_at(monkeypatch, "dissipation", 12)
     _mass_break_in_step(monkeypatch, 14)
     _, lines = _aborted(tmp_path, 12, "dissipation")
     assert lines == batched_run_csv[:13]
@@ -450,7 +465,9 @@ def test_nan_fails_the_run_checks():
                                             for row in (init.f_lower, init.f_upper)))
     record = DiagnosticsRecord(*[1.0] * len(RECORD_FIELDS))
     with pytest.raises(InvariantViolation, match="dissipation invariant failed"):
-        experiment._check_record(4, dataclasses.replace(record, D=math.nan), 1.0)
+        experiment._check_record(4, dataclasses.replace(record, D=math.nan), 1.0, 1.0)
+    with pytest.raises(InvariantViolation, match="entropy invariant failed"):
+        experiment._check_record(4, dataclasses.replace(record, H=math.nan), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("splitting", ["strang", "lie"])
@@ -650,6 +667,38 @@ def test_audit_constants_on_tiny_run(tiny_run):
     assert constants["c5_max"] >= constants["c4_min"] > 0.0
     assert constants["step1_excess_max"] <= 1e-8
     assert constants["samples_used"] >= 1
+
+
+@pytest.fixture(scope="module")
+def long_default_run():
+    """The default run with seeded noise, to t = 40: H reaches 1e-27 of H0."""
+    return run_experiment(ExperimentConfig(perturbation=1e-3, seed=7, t_final=40.0))
+
+
+def test_late_entropy_matches_the_decimal_oracle(long_default_run):
+    # H at t = 15 and t = 20 is 1e-14 and 3e-18 of H0; the record is good to
+    # about eps / |d| relative, |d| ~ sqrt(H), where log(f / p) was off by 3.5e-2 and 780
+    result = long_default_run
+    state = bf.run_initial(result).state
+    plan = evolution.plan_step(result.kernel, state.vgrid, state.sgrid, result.config)
+    for k in range(1, 5601):
+        state = evolution.step(state, plan)
+        if k in (4200, 5600):  # t = 15 and t = 20 at dt = 1/280
+            record = result.records[k // result.config.record_every]
+            assert record.t == state.time
+            want = bf.bf_entropy(state.f, result.equilibrium.profile, state.vgrid, state.sgrid)
+            tol = np.finfo(float).eps / math.sqrt(want)
+            assert abs(record.H - want) <= tol * want, (record.t, record.H, want)
+
+
+def test_long_run_keeps_h_nonnegative_and_the_audit_positive(long_default_run):
+    # past t = 35 the state sits at rounding (dist_total ~ 1e-14), where H
+    # may rise; it stays >= 0, and the distance floor keeps the audit's ratios
+    result = long_default_run
+    assert min(r.H for r in result.records) >= 0.0
+    constants = result.rate_report.lemma_constants
+    for key in ("c1_min", "c6_min", "c9_min", "gronwall_ratio_min"):
+        assert constants[key] > 0.0, key
 
 
 def test_audit_c2_is_the_norm_probe_ratio(tiny_run):
