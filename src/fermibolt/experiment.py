@@ -105,9 +105,8 @@ RESIDENT_STATES = 12
 RECORD_BATCH_BYTES = 160 * 2**10
 # Arrays of at most RECORD_BATCH_BYTES that a run with K > 1 holds besides
 # its resident states: the stack, the record pass's four workspace arrays,
-# its projection and one more fresh array of the batch's shape, and the
-# eq.profile and 1 - eq.profile tiles, two states of a batch of at least two.
-RECORD_BATCH_ARRAYS = 8
+# and its projection and one more fresh array of the batch's shape.
+RECORD_BATCH_ARRAYS = 7
 DELTA_WINDOW = 5.0            # time span whose records choose delta = auto
 MASS_DRIFT_TOL = 1e-12        # relative, abort threshold
 DISSIPATION_FLOOR = -1e-12    # abort if D drops below
@@ -205,6 +204,8 @@ class RecordPlan:
     states. At size 1 the batch is the recorded state itself and the work
     is the step plan's rows, so the pass holds nothing of its own; at a
     larger size the states are copied into `stack` as they are made.
+    `profile` and `hole` are eq.profile and 1 - eq.profile, (nodes,) rows
+    that broadcast over the batch at every size.
     """
 
     size: int                        # K, records per batch
@@ -212,8 +213,6 @@ class RecordPlan:
     sgrid: SpatialGrid
     kernel: CollisionKernel
     eq: EquilibriumProfile
-    # eq.profile and 1 - eq.profile: (cells, nodes) tiles when size > 1,
-    # rows at size 1, where two tiles would be two more resident states
     profile: np.ndarray
     hole: np.ndarray
     stack: np.ndarray | None         # (size, cells, nodes) record slots; None at size 1
@@ -229,8 +228,7 @@ def plan_records(kernel: CollisionKernel, eq: EquilibriumProfile, plan: StepPlan
     if size == 1:
         return RecordPlan(1, vgrid, sgrid, kernel, eq, *rows, None,
                           tuple(row[None] for row in plan.work))
-    tiles = (np.tile(row, (shape[0], 1)) for row in rows)
-    return RecordPlan(size, vgrid, sgrid, kernel, eq, *tiles, np.empty((size,) + shape),
+    return RecordPlan(size, vgrid, sgrid, kernel, eq, *rows, np.empty((size,) + shape),
                       tuple(np.empty((4, size) + shape)))
 
 
@@ -305,6 +303,11 @@ def _check_record(step_index: int, record: DiagnosticsRecord, mass0: float,
                                  f"H = {record.H:.17g} above {h_prev:.17g}")
 
 
+def _centred_derivative(y: np.ndarray, t: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """dy/dt of the record column y at the interior indices i, as a centred difference."""
+    return (y[i + 1] - y[i - 1]) / (t[i + 1] - t[i - 1])
+
+
 def choose_delta(
     t: np.ndarray,
     entropy: np.ndarray,
@@ -316,28 +319,24 @@ def choose_delta(
     Among the DELTA_CANDIDATES values for which the modified entropy stays
     equivalent to the squared distance (positive ratio throughout), take
     the one with the best worst-case decay ratio; ties go to the larger
-    weight.
+    weight. The ratio is rated at the interior samples above DIST_EPS whose
+    neighbours differ in time; a window with fewer than three is too short.
     """
     usable = dist_total > DIST_EPS
-    if np.count_nonzero(usable) < 3:
+    i = np.arange(1, len(t) - 1)
+    i = i[usable[i] & (t[i + 1] > t[i - 1])]
+    if len(i) < 3:
         raise ConfigError("delta window too short to scan delta")
+    dist_sq = dist_total[usable] ** 2
     best = None
     best_score = -np.inf
     for cand in sorted(DELTA_CANDIDATES, reverse=True):
         lyap = entropy + cand * pairing
-        ratios = lyap[usable] / dist_total[usable] ** 2
-        if np.min(ratios) <= 0.0:
+        if np.min(lyap[usable] / dist_sq) <= 0.0:
             continue
-        rates = []
-        for i in range(1, len(t) - 1):
-            if usable[i] and t[i + 1] > t[i - 1]:
-                rates.append(-(lyap[i + 1] - lyap[i - 1]) / (t[i + 1] - t[i - 1]) / lyap[i])
-        if len(rates) < 3:
-            continue
-        score = min(rates)
+        score = np.min(-_centred_derivative(lyap, t, i) / lyap[i])
         if score > best_score + 1e-12:
-            best_score = score
-            best = cand
+            best_score, best = score, cand
     if best is None:
         raise ConfigError(
             "no candidate delta keeps the augmented functional positive"
@@ -700,35 +699,34 @@ def _close_audit(out: dict, audited, records, delta: float) -> dict:
     """Add the terms that need only records to `out`, which folded records `audited`.
 
     Every ratio skips a record distance at most AUDIT_DIST_FLOOR, the one
-    floor of the audit; the modified entropy takes the run's delta.
+    floor of the audit; the modified entropy takes the run's delta. A distance
+    is squared by libm's pow (`np.float_power`), as a Python float is: numpy's
+    `** 2` is x * x, which rounds otherwise on about one value in 1500.
     """
     if not audited:
         raise ValueError("every audit sample fell on the trajectory ends")
-    t = np.array([r.t for r in records])
-    entropy = np.array([r.H for r in records])
+    t, entropy, pairing, dist_total, dist_local = (
+        np.array([getattr(r, name) for r in records])
+        for name in ("t", "H", "pairing", "dist_total", "dist_local"))
     lyap = modified_entropy(records, delta)
-    dist_total = np.array([r.dist_total for r in records])
-    pairing = np.array([r.pairing for r in records])
 
     # entropy production vs local distance
-    for k in audited:
-        dl = records[k].dist_local
-        if dl > AUDIT_DIST_FLOOR:
-            dhdt = (entropy[k + 1] - entropy[k - 1]) / (t[k + 1] - t[k - 1])
-            out["c1_min"] = min(out["c1_min"], -dhdt / dl**2)
-        else:
-            out["samples_skipped"] += 1
+    k = np.array(audited)
+    k = k[dist_local[k] > AUDIT_DIST_FLOOR]
+    c1 = -_centred_derivative(entropy, t, k) / np.float_power(dist_local[k], 2)
+    out["c1_min"] = min(out["c1_min"], np.min(c1, initial=np.inf))
+    out["samples_skipped"] += len(audited) - len(k)
 
     # the audited records are interior, so the window is too
-    window = range(min(audited), max(audited) + 1)
-    for i in window:
-        if dist_total[i] > AUDIT_DIST_FLOOR:
-            rate = -(lyap[i + 1] - lyap[i - 1]) / (t[i + 1] - t[i - 1]) / lyap[i]
-            out["gronwall_ratio_min"] = min(out["gronwall_ratio_min"], rate)
-            ratio = lyap[i] / dist_total[i] ** 2
-            out["c6_min"] = min(out["c6_min"], ratio)
-            out["c7_max"] = max(out["c7_max"], ratio)
-            out["c8_max"] = max(out["c8_max"], abs(pairing[i]) / dist_total[i] ** 2)
+    i = np.arange(min(audited), max(audited) + 1)
+    i = i[dist_total[i] > AUDIT_DIST_FLOOR]
+    dist_sq = np.float_power(dist_total[i], 2)
+    ratio = lyap[i] / dist_sq
+    rate = -_centred_derivative(lyap, t, i) / lyap[i]
+    out["gronwall_ratio_min"] = min(out["gronwall_ratio_min"], np.min(rate, initial=np.inf))
+    out["c6_min"] = min(out["c6_min"], np.min(ratio, initial=np.inf))
+    out["c7_max"] = max(out["c7_max"], np.max(ratio, initial=-np.inf))
+    out["c8_max"] = max(out["c8_max"], np.max(np.abs(pairing[i]) / dist_sq, initial=-np.inf))
     return out
 
 

@@ -31,9 +31,8 @@ nodes), gives K values, one per state, where one (cells, nodes) state
 gives a float. Every sum runs over nodes first, then cells, as numpy's
 pairwise `add.reduce` along the last axis, so each state's value is the
 one a single call gives, bit for bit. A per-node reference (a profile,
-1 - a profile) may be a (nodes,) row or a (cells, nodes) tile; either
-broadcasts over the stack, and a tile spares numpy a row broadcast per
-cell.
+1 - a profile) may be a (nodes,) row, as a run passes it, or a (cells,
+nodes) tile; either broadcasts over the stack to the same bits.
 """
 from __future__ import annotations
 

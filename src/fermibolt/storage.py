@@ -64,9 +64,12 @@ def load_csv(path: str):
 
     A truncated final line is tolerated (the run may have been killed
     mid-write) and counted as a warning; garbage elsewhere is an error.
+    `CsvWriter` ends every row with a newline, so a last line without one
+    is truncated even when it parses.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
     if not lines:
         raise ValueError(f"{path} is empty")
     header = lines[0].split(",")
@@ -78,13 +81,14 @@ def load_csv(path: str):
     warnings = 0
     body = [ln for ln in lines[1:] if ln.strip()]
     for idx, line in enumerate(body):
+        last = idx == len(body) - 1
         parts = line.split(",")
         try:
-            if len(parts) != len(RECORD_FIELDS):
+            if len(parts) != len(RECORD_FIELDS) or (last and not text.endswith("\n")):
                 raise ValueError
             values = [float(p) for p in parts]
         except ValueError:
-            if idx == len(body) - 1:
+            if last:
                 warnings += 1
                 break
             raise ValueError(f"{path}: malformed row {idx + 1}: {line!r}") from None

@@ -583,3 +583,73 @@ def seed_records(result):
         if k % config.record_every == 0 or k == n_steps:
             record()
     return records, kappas
+
+
+# The record-only terms as per-record loops, the references of the array
+# forms in `experiment`: a scalar record distance is squared by `**`, libm's
+# pow, and the delta window's distances by numpy's x * x, as there.
+
+
+def loop_choose_delta(t, entropy, pairing, dist_total):
+    """`experiment.choose_delta`, each candidate's decay ratios gathered in a loop.
+
+    A window with three usable samples but fewer than three rated interior
+    ones skips every candidate, so it raises "no candidate ...".
+    """
+    from fermibolt.config import DELTA_CANDIDATES, ConfigError
+    from fermibolt.experiment import DIST_EPS
+
+    usable = dist_total > DIST_EPS
+    if np.count_nonzero(usable) < 3:
+        raise ConfigError("delta window too short to scan delta")
+    best = None
+    best_score = -np.inf
+    for cand in sorted(DELTA_CANDIDATES, reverse=True):
+        lyap = entropy + cand * pairing
+        ratios = lyap[usable] / dist_total[usable] ** 2
+        if np.min(ratios) <= 0.0:
+            continue
+        rates = []
+        for i in range(1, len(t) - 1):
+            if usable[i] and t[i + 1] > t[i - 1]:
+                rates.append(-(lyap[i + 1] - lyap[i - 1]) / (t[i + 1] - t[i - 1]) / lyap[i])
+        if len(rates) < 3:
+            continue
+        score = min(rates)
+        if score > best_score + 1e-12:
+            best_score = score
+            best = cand
+    if best is None:
+        raise ConfigError("no candidate delta keeps the augmented functional positive")
+    return best
+
+
+def loop_close_audit(out, audited, records, delta):
+    """`experiment._close_audit`, record by record."""
+    from fermibolt.experiment import AUDIT_DIST_FLOOR, modified_entropy
+
+    if not audited:
+        raise ValueError("every audit sample fell on the trajectory ends")
+    t = np.array([r.t for r in records])
+    entropy = np.array([r.H for r in records])
+    lyap = modified_entropy(records, delta)
+    dist_total = np.array([r.dist_total for r in records])
+    pairing = np.array([r.pairing for r in records])
+
+    for k in audited:
+        dl = records[k].dist_local
+        if dl > AUDIT_DIST_FLOOR:
+            dhdt = (entropy[k + 1] - entropy[k - 1]) / (t[k + 1] - t[k - 1])
+            out["c1_min"] = min(out["c1_min"], -dhdt / dl**2)
+        else:
+            out["samples_skipped"] += 1
+
+    for i in range(min(audited), max(audited) + 1):
+        if dist_total[i] > AUDIT_DIST_FLOOR:
+            rate = -(lyap[i + 1] - lyap[i - 1]) / (t[i + 1] - t[i - 1]) / lyap[i]
+            out["gronwall_ratio_min"] = min(out["gronwall_ratio_min"], rate)
+            ratio = lyap[i] / dist_total[i] ** 2
+            out["c6_min"] = min(out["c6_min"], ratio)
+            out["c7_max"] = max(out["c7_max"], ratio)
+            out["c8_max"] = max(out["c8_max"], abs(pairing[i]) / dist_total[i] ** 2)
+    return out

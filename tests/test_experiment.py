@@ -182,11 +182,36 @@ def test_choose_delta_requires_positivity():
         choose_delta(t, h, -1e6 * h, np.sqrt(h))
 
 
+# (t, dist_total) of delta windows with fewer than three rated interior records
+SHORT_WINDOWS = {
+    "no usable sample": (np.linspace(0.0, 5.0, 51), np.zeros(51)),
+    # three usable samples, one of them interior: one decay ratio
+    "one interior": (np.array([0.0, 0.1, 0.2]), np.exp(-np.array([0.0, 0.05, 0.1]))),
+}
+
+
 def test_choose_delta_needs_usable_points():
+    for t, dist in SHORT_WINDOWS.values():
+        h = dist**2
+        with pytest.raises(ConfigError, match="^delta window too short to scan delta$"):
+            choose_delta(t, h, 0.0 * h, dist)
+
+
+def _chosen_or_error(choose, *arrays):
+    try:
+        return choose(*arrays)
+    except ConfigError as exc:
+        return str(exc)
+
+
+def test_choose_delta_equals_its_loop_form_on_the_unit_inputs():
     t = np.linspace(0.0, 5.0, 51)
     h = np.exp(-t)
-    with pytest.raises(ConfigError, match="too short"):
-        choose_delta(t, h, 0.0 * h, np.zeros_like(h))
+    inputs = [(t, h, -30.0 * h, np.sqrt(h)), (t, h, np.exp(-2.0 * t), np.sqrt(h)),
+              (t, h, -1e6 * h, np.sqrt(h)), (t, h, 0.0 * h, np.zeros_like(h))]
+    for arrays in inputs:
+        assert _chosen_or_error(choose_delta, *arrays) == _chosen_or_error(
+            bf.loop_choose_delta, *arrays)
 
 
 def test_auto_delta_resolution():
@@ -279,6 +304,11 @@ def test_auto_delta_streams_its_rows(auto_run):
     rows, warnings = seen["rows_at_resolve"]
     assert warnings == 0
     assert rows == result.records
+
+
+def test_auto_delta_scan_equals_its_loop_form(auto_run):
+    _, result, seen = auto_run
+    assert bf.loop_choose_delta(*seen["scanned"]) == result.config.delta
 
 
 def test_auto_delta_artifacts_match_two_pass_run(auto_run, tmp_path):
@@ -645,6 +675,35 @@ def test_run_and_post_hoc_audits_agree_bitwise(name, request):
     assert post_hoc == constants
 
 
+@pytest.mark.parametrize("name", ["default_run", "auto_delta_run"])
+def test_close_audit_equals_its_loop_form(name, request, monkeypatch):
+    # the post-hoc audit closed record by record instead: every key equal bit for bit
+    result = request.getfixturevalue(name)
+    monkeypatch.setattr(experiment, "_close_audit", bf.loop_close_audit)
+    looped = _audit_from_artifacts(result.output_dir)
+    assert list(looped) == list(result.rate_report.lemma_constants)
+    assert looped == result.rate_report.lemma_constants
+
+
+def test_auto_delta_run_scan_equals_its_loop_form(auto_delta_run, monkeypatch):
+    monkeypatch.setattr(experiment, "choose_delta", bf.loop_choose_delta)
+    config = dataclasses.replace(auto_delta_run.config, delta=None)
+    assert experiment._resolve_delta(config, auto_delta_run.records) == auto_delta_run.config.delta
+
+
+def test_close_audit_squares_a_distance_as_its_loop_form_does():
+    # one record in the window, its distance one whose x * x and pow(x, 2)
+    # differ, so its ratios are those of the one square the loop form takes
+    rng = np.random.default_rng(5)
+    dists = [x for x in rng.uniform(1e-3, 1e-1, 40000) if x * x != float(x) ** 2][:8]
+    assert len(dists) == 8
+    for dist in dists:
+        records = _fake_records([0.0, 0.5, 1.0], [1.0, dist, 0.5 * dist],
+                                [1.0, 0.3 * dist, 0.1 * dist])
+        got = experiment._close_audit(dict(AUDIT_START), [1], records, 0.01)
+        assert got == bf.loop_close_audit(dict(AUDIT_START), [1], records, 0.01)
+
+
 def test_post_hoc_audit_folds_every_snapshot_in_one_workspace(boundary_run, monkeypatch):
     folds = []
     real_fold = experiment.audit_proof_chain
@@ -923,6 +982,22 @@ def test_cli_on_a_run_stopped_inside_the_delta_window_fails_in_one_line(
         f"{command} failed: the records stop before step 329, the delta window's last record, "
         f"so delta = auto cannot be chosen"
     ]
+
+
+def test_cli_on_a_delta_window_of_three_records_fails_in_one_line(tmp_path, capsys):
+    # records at steps 0, 20 and 25, the last: one interior record, one decay ratio
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nodes_per_axis = 16\nspatial_cells = 8\ndt = 0.01\nt_final = 0.25\n"
+                   "record_every = 20\ndelta = auto\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 2
+    csv, snapshots = str(out / "diagnostics.csv"), str(out / "snapshots")
+    assert len(load_csv(csv)[0]) == 3
+    assert capsys.readouterr() == ("", "run failed: delta window too short to scan delta\n")
+    for command in ("fit", "audit"):
+        assert cli.main([command, csv, snapshots]) == 1
+        assert capsys.readouterr() == (
+            "", f"{command} failed: delta window too short to scan delta\n")
 
 
 @pytest.mark.parametrize("command", ["fit", "audit"])

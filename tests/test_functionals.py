@@ -177,8 +177,8 @@ STACKED_KERNELS = [(1, "constant"), (1, "gaussian_bump"), (2, "gaussian_bump"),
                          ids=[f"{dim}d-{kind}" for dim, kind in STACKED_KERNELS])
 def test_stacked_records_equal_single_calls(dim, kind, size, oracle_kernels):
     # what a record pass computes for a stack of states, each bit for bit as
-    # for that state alone; the stack takes the profile as a (cells, nodes)
-    # tile, as a run with K > 1 does, the single state as its row
+    # for that state alone; both take the profile as its (nodes,) row, as a
+    # run does at every K
     vg, kernel, _ = oracle_kernels[dim, kind]
     sg = build_spatial_grid(16 // dim)
     rng = np.random.default_rng(73 + size)
@@ -187,17 +187,16 @@ def test_stacked_records_equal_single_calls(dim, kind, size, oracle_kernels):
     f = np.stack([base[rng.permutation(sg.cells)] for _ in range(size)])
     eq = global_equilibrium(float(np.sum(integrate(base, vg))) * sg.spacing, vg)
     p, hole = eq.profile, 1.0 - eq.profile
-    p_tile, hole_tile = np.tile(p, (sg.cells, 1)), np.tile(hole, (sg.cells, 1))
     rho, j = moments(f, vg)
     _, grad = solve_poisson(rho, eq.density, sg)
     fields = FieldSet(rho=rho, j=j, grad_phi=grad)
     seen, proj, kappa = observe(f, eq, None, vg, sg)
     stacked = {
-        "H": relative_entropy(f, p_tile, hole_tile, vg, sg),
+        "H": relative_entropy(f, p, hole, vg, sg),
         "D": dissipation(f, kernel, vg, sg),
-        "dist_total": weighted_norm(f, vg, sg, p_tile),
+        "dist_total": weighted_norm(f, vg, sg, p),
         "dist_local": weighted_norm(f, vg, sg, proj),
-        "dist_hydro": weighted_norm(proj, vg, sg, p_tile),
+        "dist_hydro": weighted_norm(proj, vg, sg, p),
         "pairing": field_current_pairing(fields, sg),
     }
     warm = None  # each projection starts from the one before it

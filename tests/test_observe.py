@@ -639,9 +639,9 @@ def test_batched_run_peak_stays_within_its_budget(tmp_path):
 
 def test_the_state_budget_counts_a_record_batch(monkeypatch):
     monkeypatch.setattr(experiment, "STATE_BUDGET_BYTES", 2**20)
-    # 16 KiB states, ten a batch: 12 states and 8 arrays of at most 160 KiB
+    # 16 KiB states, ten a batch: 12 states and 7 arrays of at most 160 KiB
     with pytest.raises(ConfigError) as err:
         experiment.build_lattice(ExperimentConfig(nodes_per_axis=64, spatial_cells=32))
     assert str(err.value) == (
         "32 cells x 64 velocity nodes: the run's 12 resident state arrays and its record "
-        "batch take 1507328 bytes (1.4375 MiB), over the 1 MiB budget")
+        "batch take 1343488 bytes (1.28125 MiB), over the 1 MiB budget")
